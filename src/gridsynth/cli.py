@@ -140,12 +140,11 @@ def cmd_generate(cfg: cfgmod.RunConfig) -> int:
 
 def _load_watts(path) -> np.ndarray:
     """Read a day matrix or an exported synthetic batch as a watts matrix."""
-    schema = datapipe.read_kv_file(str(path) + ".meta").get("schema", "")
-    if "daymatrix" in schema:
-        matrix = datapipe.load_day_matrix(path)
-        return datapipe.denormalize(matrix) if matrix.normalized else matrix.values
-    watts, _ = synth.load_exported(path)
-    return watts
+    values, meta = synth.load_exported(path)
+    if "daymatrix" not in meta.get("schema", ""):
+        return values
+    matrix = datapipe.day_matrix_from(values, meta)
+    return datapipe.denormalize(matrix) if matrix.normalized else matrix.values
 
 
 def cmd_evaluate(cfg: cfgmod.RunConfig, real_path=None, synth_path=None) -> int:

@@ -25,7 +25,6 @@ class RunConfig:
     input_path: str = ""
     timestamp_column: str = "timestamp"
     value_column: str = "power_w"
-    household: str = ""
     kind: str = "load"  # load | pv
     timezone: str = "UTC"
     source_period_minutes: int = 5
@@ -59,6 +58,13 @@ class RunConfig:
     # output
     out_dir: str = "runs"
 
+    def _derive(self, cls, **parsed):
+        """cls built from the fields it shares by name with RunConfig."""
+        shared = {
+            f.name: getattr(self, f.name) for f in fields(cls) if f.name in self.__dataclass_fields__
+        }
+        return cls(**{**shared, **parsed})
+
     def arch_config(self) -> ArchConfig:
         try:
             dilations = tuple(int(d) for d in self.dilations.split(",") if d.strip())
@@ -66,28 +72,10 @@ class RunConfig:
             raise UsageError(f"dilations must be comma-separated integers, got {self.dilations!r}")
         if not dilations or any(d < 1 for d in dilations):
             raise UsageError(f"dilations must be positive, got {self.dilations!r}")
-        return ArchConfig(
-            latent_dim=self.latent_dim,
-            channels=self.channels,
-            kernel_size=self.kernel_size,
-            dilations=dilations,
-            leaky_slope=self.leaky_slope,
-        )
+        return self._derive(ArchConfig, dilations=dilations)
 
     def train_config(self) -> TrainConfig:
-        cfg = TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr_g=self.lr_g,
-            lr_d=self.lr_d,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            adam_eps=self.adam_eps,
-            seed=self.seed,
-            d_steps_per_g_step=self.d_steps_per_g_step,
-            checkpoint_every=self.checkpoint_every,
-            fake_source=self.fake_source,
-        )
+        cfg = self._derive(TrainConfig)
         try:
             cfg.validate()
         except ValueError as exc:
@@ -104,13 +92,7 @@ class RunConfig:
                 raise UsageError(f"sigma must be 'median' or a number, got {self.sigma!r}")
             if sigma <= 0:
                 raise UsageError(f"sigma must be positive, got {sigma}")
-        return MetricsConfig(
-            bins=self.bins,
-            sigma=sigma,
-            mmd_on=self.mmd_on,
-            alpha_high=self.alpha_high,
-            alpha_low=self.alpha_low,
-        )
+        return self._derive(MetricsConfig, sigma=sigma)
 
     def validate(self) -> None:
         if self.model not in ("vaegan", "gan"):

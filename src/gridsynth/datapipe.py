@@ -298,48 +298,83 @@ def denormalize_values(values: np.ndarray, norm_min: float, norm_max: float) -> 
 
 
 _META_SUFFIX = ".meta"
+_MATRIX_HEADER = [f"t{i:02d}" for i in range(SLOTS_PER_DAY)]
 
 
-def save_day_matrix(matrix: DayMatrix, csv_path) -> None:
-    """Write one day per row (t00..t95 header) plus a key-value sidecar."""
-    csv_path = Path(csv_path)
-    header = ",".join(f"t{i:02d}" for i in range(SLOTS_PER_DAY))
-    lines = [header]
-    for row in matrix.values:
-        lines.append(",".join(repr(float(v)) for v in row))
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    meta = [
-        "schema = gridsynth.daymatrix/1",
-        f"kind = {matrix.kind}",
-        f"n_days = {matrix.n_days}",
-    ]
-    if matrix.normalized:
-        meta.append(f"norm_min = {matrix.norm_min!r}")
-        meta.append(f"norm_max = {matrix.norm_max!r}")
-    if matrix.dates:
-        meta.append("dates = " + ",".join(matrix.dates))
-    Path(str(csv_path) + _META_SUFFIX).write_text("\n".join(meta) + "\n", encoding="utf-8")
+def write_matrix(csv_path, values, meta: dict) -> None:
+    """Write one day per row under a t00..t95 header, plus a `key = value`
+    sidecar with meta's items in order. Day matrices and synthetic batches
+    share this format."""
+    lines = [",".join(_MATRIX_HEADER)]
+    lines.extend(",".join(repr(float(v)) for v in row) for row in values)
+    Path(csv_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sidecar = "".join(f"{key} = {val}\n" for key, val in meta.items())
+    Path(str(csv_path) + _META_SUFFIX).write_text(sidecar, encoding="utf-8")
 
 
-def load_day_matrix(csv_path) -> DayMatrix:
+def read_matrix(csv_path) -> tuple[np.ndarray, dict[str, str]]:
+    """Read a write_matrix file back as (N x 96 array, sidecar dict).
+
+    A wrong header, a ragged row, a non-numeric or non-finite cell, no data
+    rows or a missing sidecar raise DataError.
+    """
     csv_path = Path(csv_path)
     if not csv_path.exists():
-        raise DataError(f"day matrix not found: {csv_path}")
+        raise DataError(f"matrix file not found: {csv_path}")
     rows = []
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader)  # header
-        for row in reader:
-            if row:
+        if next(reader, None) != _MATRIX_HEADER:
+            raise DataError(f"{csv_path}: expected header t00..t95")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != SLOTS_PER_DAY:
+                raise DataError(
+                    f"{csv_path}: line {line_no}: expected {SLOTS_PER_DAY} cells, got {len(row)}"
+                )
+            try:
                 rows.append([float(v) for v in row])
-    meta = read_kv_file(str(csv_path) + _META_SUFFIX)
+            except ValueError:
+                raise DataError(f"{csv_path}: line {line_no}: non-numeric cell")
+    if not rows:
+        raise DataError(f"{csv_path}: no data rows")
+    values = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{csv_path}: non-finite cell")
+    return values, read_kv_file(str(csv_path) + _META_SUFFIX)
+
+
+def save_day_matrix(matrix: DayMatrix, csv_path) -> None:
+    """Write the matrix plus a sidecar with its kind, normalization and dates."""
+    meta = {"schema": "gridsynth.daymatrix/1", "kind": matrix.kind, "n_days": matrix.n_days}
+    if matrix.normalized:
+        meta["norm_min"] = repr(matrix.norm_min)
+        meta["norm_max"] = repr(matrix.norm_max)
+    if matrix.dates:
+        meta["dates"] = ",".join(matrix.dates)
+    write_matrix(csv_path, matrix.values, meta)
+
+
+def day_matrix_from(values: np.ndarray, meta: dict[str, str]) -> DayMatrix:
+    """Rebuild a DayMatrix from read_matrix output."""
+    try:
+        norm_min, norm_max = (
+            float(meta[key]) if key in meta else None for key in ("norm_min", "norm_max")
+        )
+    except ValueError:
+        raise DataError("day matrix sidecar: norm_min/norm_max must be numbers")
     return DayMatrix(
-        np.asarray(rows, dtype=np.float64),
+        values,
         kind=meta.get("kind", "load"),
-        norm_min=float(meta["norm_min"]) if "norm_min" in meta else None,
-        norm_max=float(meta["norm_max"]) if "norm_max" in meta else None,
+        norm_min=norm_min,
+        norm_max=norm_max,
         dates=meta["dates"].split(",") if meta.get("dates") else [],
     )
+
+
+def load_day_matrix(csv_path) -> DayMatrix:
+    return day_matrix_from(*read_matrix(csv_path))
 
 
 def read_kv_file(path) -> dict[str, str]:

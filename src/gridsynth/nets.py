@@ -16,7 +16,9 @@ non-saturating -log D(fake); the discriminator minimizes
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, asdict, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -190,16 +192,6 @@ def all_params(model) -> dict[str, ad.Param]:
 # loss graphs
 
 
-def prior_loss(mean: ad.Node, logvar: ad.Node) -> ad.Node:
-    """Batch-averaged KL of the encoder posterior against N(0, 1)."""
-    return ad.GaussianKl(mean, logvar)
-
-
-def reconstruction_loss(x: ad.Node, x_hat: ad.Node, l_prior: ad.Node, seq_len: int) -> ad.Node:
-    """prior + per-sequence squared L2 error (per-element MSE * seq_len)."""
-    return ad.Add(ad.Affine(ad.Mse(x_hat, x), float(seq_len)), l_prior)
-
-
 def adversarial_losses(logit_real: ad.Node, logit_fake: ad.Node, logit_noise: ad.Node) -> dict:
     """The four single-sided terms of the composite game, all from logits.
 
@@ -221,8 +213,23 @@ def vanilla_gan_losses(logit_real: ad.Node, logit_fake: ad.Node) -> tuple[ad.Nod
     return g_loss, d_loss
 
 
+class _TrainingGraph:
+    """What the training loop needs of a graph.
+
+    nodes maps loss names to loss Nodes, draws lists the per-batch
+    standard-normal Inputs with their shapes after the batch axis (in RNG
+    draw order), and phases lists the (loss name, parameter group) updates
+    of one training step.
+    """
+
+    phases: ClassVar[tuple]
+
+    def bundle(self) -> dict[str, float]:
+        return {name: float(node.value) for name, node in self.nodes.items()}
+
+
 @dataclass
-class VaeGanGraph:
+class VaeGanGraph(_TrainingGraph):
     """The full training graph: inputs plus every named loss node."""
 
     x: ad.Input
@@ -233,9 +240,11 @@ class VaeGanGraph:
     logvar: ad.Node
     x_hat: ad.Node
     nodes: dict = field(default_factory=dict)  # name -> loss Node
+    draws: tuple = ()
 
-    def bundle(self) -> dict[str, float]:
-        return {name: float(node.value) for name, node in self.nodes.items()}
+    phases: ClassVar[tuple] = (
+        ("l_D", "discriminator"), ("l_reconstruction", "encoder"), ("l_generator", "generator"),
+    )
 
 
 def build_vaegan_graph(model: VaeGanModel, fake_source: str = "reconstruction") -> VaeGanGraph:
@@ -259,7 +268,7 @@ def build_vaegan_graph(model: VaeGanModel, fake_source: str = "reconstruction") 
         z_prior = ad.Input("z_prior")
         fake = model.generator.build(z_prior)
 
-    l_prior = prior_loss(mean, logvar)
+    l_prior = ad.GaussianKl(mean, logvar)  # batch-averaged KL against N(0, 1)
     recon_mse = ad.Mse(x_hat, x)
     # ||x_hat - x||^2 summed per sequence, batch-averaged = per-element MSE * T
     l_reconstruction = ad.Add(ad.Affine(recon_mse, float(arch.seq_len)), l_prior)
@@ -283,19 +292,22 @@ def build_vaegan_graph(model: VaeGanModel, fake_source: str = "reconstruction") 
         "l_noise": adv["l_noise"],
         "l_D": l_d,
     }
+    draws = ((eps, (arch.latent_dim,)), (noise, (1, arch.seq_len)))
+    if z_prior is not None:
+        draws += ((z_prior, (arch.latent_dim,)),)
     return VaeGanGraph(x=x, eps=eps, noise=noise, z_prior=z_prior,
-                       mean=mean, logvar=logvar, x_hat=x_hat, nodes=nodes)
+                       mean=mean, logvar=logvar, x_hat=x_hat, nodes=nodes, draws=draws)
 
 
 @dataclass
-class GanGraph:
+class GanGraph(_TrainingGraph):
     x: ad.Input
     z: ad.Input
     x_fake: ad.Node
     nodes: dict = field(default_factory=dict)
+    draws: tuple = ()
 
-    def bundle(self) -> dict[str, float]:
-        return {name: float(node.value) for name, node in self.nodes.items()}
+    phases: ClassVar[tuple] = (("d_loss", "discriminator"), ("g_loss", "generator"))
 
 
 def build_gan_graph(model: GanModel) -> GanGraph:
@@ -305,7 +317,8 @@ def build_gan_graph(model: GanModel) -> GanGraph:
     g_loss, d_loss = vanilla_gan_losses(
         model.discriminator.build(x), model.discriminator.build(x_fake)
     )
-    return GanGraph(x=x, z=z, x_fake=x_fake, nodes={"g_loss": g_loss, "d_loss": d_loss})
+    return GanGraph(x=x, z=z, x_fake=x_fake, nodes={"g_loss": g_loss, "d_loss": d_loss},
+                    draws=((z, (model.arch.latent_dim,)),))
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +377,10 @@ def discriminate_noise(model, batch_size: int, rng: np.random.Generator) -> np.n
 # JSON metadata record; float64 bits round-trip exactly
 
 
+CHECKPOINT_SCHEMA = "gridsynth.checkpoint/1"
+_MODELS = {"vaegan": VaeGanModel, "gan": GanModel}
+
+
 @dataclass
 class Checkpoint:
     kind: str
@@ -398,7 +415,7 @@ def save_checkpoint(
         arrays[f"m1/{name}"] = p.moment1
         arrays[f"m2/{name}"] = p.moment2
     meta = {
-        "schema": "gridsynth.checkpoint/1",
+        "schema": CHECKPOINT_SCHEMA,
         "kind": model.kind,
         "arch": model.arch.to_dict(),
         "seed": seed,
@@ -415,47 +432,55 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a save_checkpoint file; a missing, unreadable or foreign file
+    raises DataError."""
     try:
-        data = np.load(path, allow_pickle=False)
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+            groups = {"param": {}, "m1": {}, "m2": {}}
+            for key in data.files:
+                prefix, _, name = key.partition("/")
+                if prefix in groups:
+                    groups[prefix][name] = data[key]
+        if not isinstance(meta, dict) or meta.get("schema") != CHECKPOINT_SCHEMA:
+            raise DataError(f"{path}: not a {CHECKPOINT_SCHEMA} file")
+        if meta["kind"] not in _MODELS:
+            raise DataError(f"{path}: unknown model kind {meta['kind']!r}")
+        return Checkpoint(
+            kind=meta["kind"],
+            arch=ArchConfig.from_dict(meta["arch"]),
+            seed=meta["seed"],
+            epoch=meta["epoch"],
+            step=meta["step"],
+            params=groups["param"],
+            moments1=groups["m1"],
+            moments2=groups["m2"],
+            adam_steps={k: int(v) for k, v in meta.get("adam_steps", {}).items()},
+            rng_state=meta.get("rng_state"),
+            norm_meta=meta.get("norm_meta"),
+            train_cfg=meta.get("train_cfg"),
+        )
     except FileNotFoundError:
         raise DataError(f"checkpoint not found: {path}")
-    meta = json.loads(str(data["meta"]))
-    params, m1, m2 = {}, {}, {}
-    for key in data.files:
-        if key.startswith("param/"):
-            params[key[len("param/"):]] = data[key]
-        elif key.startswith("m1/"):
-            m1[key[len("m1/"):]] = data[key]
-        elif key.startswith("m2/"):
-            m2[key[len("m2/"):]] = data[key]
-    return Checkpoint(
-        kind=meta["kind"],
-        arch=ArchConfig.from_dict(meta["arch"]),
-        seed=meta["seed"],
-        epoch=meta["epoch"],
-        step=meta["step"],
-        params=params,
-        moments1=m1,
-        moments2=m2,
-        adam_steps={k: int(v) for k, v in meta.get("adam_steps", {}).items()},
-        rng_state=meta.get("rng_state"),
-        norm_meta=meta.get("norm_meta"),
-        train_cfg=meta.get("train_cfg"),
-    )
+    except (OSError, EOFError, zipfile.BadZipFile, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: unreadable checkpoint ({exc})")
 
 
 def model_from_checkpoint(ckpt: Checkpoint):
     """Rebuild the model class and overwrite every Param from the checkpoint."""
     init_rng = np.random.default_rng(0)  # throwaway; values are overwritten
-    model = {"vaegan": VaeGanModel, "gan": GanModel}[ckpt.kind](ckpt.arch, init_rng)
+    model = _MODELS[ckpt.kind](ckpt.arch, init_rng)
     live = all_params(model)
     if set(live) != set(ckpt.params):
         missing = set(live) ^ set(ckpt.params)
         raise DataError(f"checkpoint/model param mismatch: {sorted(missing)}")
-    for name, p in live.items():
-        p.value[...] = ckpt.params[name]
-        p.moment1[...] = ckpt.moments1[name]
-        p.moment2[...] = ckpt.moments2[name]
+    try:
+        for name, p in live.items():
+            p.value[...] = ckpt.params[name]
+            p.moment1[...] = ckpt.moments1[name]
+            p.moment2[...] = ckpt.moments2[name]
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"checkpoint arrays do not fit the model: {exc}")
     return model
 
 

@@ -1,14 +1,12 @@
 """Draw synthetic day profiles from a trained generator and export them."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import nets
-from .datapipe import SLOTS_PER_DAY, denormalize_values, read_kv_file
+from .datapipe import denormalize_values, read_matrix, write_matrix
 from .errors import DataError
 
 
@@ -60,34 +58,12 @@ def is_mode_collapsed(profiles, tol: float = 1e-6) -> bool:
     return bool(np.all(np.sqrt(sq[iu]) < tol))
 
 
-_SIDE_SUFFIX = ".meta"
-
-
 def export(batch: SynthBatch, csv_path) -> None:
     """Write watts CSV (header t00..t95, one day per row) plus sidecar."""
-    csv_path = Path(csv_path)
-    header = ",".join(f"t{i:02d}" for i in range(SLOTS_PER_DAY))
-    lines = [header]
-    for row in batch.denorm:
-        lines.append(",".join(repr(float(v)) for v in row))
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    meta_lines = ["schema = gridsynth.synth/1"]
-    for key in sorted(batch.provenance):
-        meta_lines.append(f"{key} = {batch.provenance[key]}")
-    Path(str(csv_path) + _SIDE_SUFFIX).write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
+    provenance = {key: batch.provenance[key] for key in sorted(batch.provenance)}
+    write_matrix(csv_path, batch.denorm, {"schema": "gridsynth.synth/1", **provenance})
 
 
 def load_exported(csv_path) -> tuple[np.ndarray, dict]:
     """Read back an exported batch: (watts matrix, provenance dict)."""
-    csv_path = Path(csv_path)
-    if not csv_path.exists():
-        raise DataError(f"synthetic data not found: {csv_path}")
-    rows = []
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if row:
-                rows.append([float(v) for v in row])
-    meta = read_kv_file(str(csv_path) + _SIDE_SUFFIX)
-    return np.asarray(rows, dtype=np.float64), meta
+    return read_matrix(csv_path)

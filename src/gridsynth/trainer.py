@@ -8,7 +8,8 @@ a resumed run reproduces the interrupted run's log suffix exactly.
 Per batch, the VAE-GAN schedule is: (1) one or more discriminator updates
 on l_D over the real batch, the fake batch and a pure-noise batch, (2) an
 encoder update on l_reconstruction (prior + squared error), (3) a generator
-update on l_generator (reconstruction + adversarial term).
+update on l_generator (reconstruction + adversarial term). The vanilla GAN
+runs the same loop without the encoder phase.
 """
 from __future__ import annotations
 
@@ -24,13 +25,6 @@ from . import autodiff as ad
 from . import nets
 from .datapipe import DayMatrix
 from .errors import TrainingDiverged
-
-VAEGAN_LOSS_KEYS = (
-    "l_prior", "recon_mse", "l_reconstruction", "l_dG", "l_generator",
-    "l_real", "l_fake", "l_noise", "l_D",
-)
-GAN_LOSS_KEYS = ("g_loss", "d_loss")
-
 
 @dataclass
 class TrainConfig:
@@ -132,84 +126,87 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start : start + batch_size]
 
 
-@dataclass
-class _Session:
-    """Everything shared by the two training loops."""
-
-    model: object
-    cfg: TrainConfig
-    rng: np.random.Generator
-    log: TrainLog
-    optimizers: dict
-    start_epoch: int
-    step: int
-    norm_meta: dict | None
-    checkpoint_dir: Path | None
-    epoch: int = 0
-
-    def save(self, path) -> None:
-        nets.save_checkpoint(
-            path,
-            self.model,
-            seed=self.cfg.seed,
-            epoch=self.epoch,
-            step=self.step,
-            adam_steps={name: opt.t for name, opt in self.optimizers.items()},
-            rng=self.rng,
-            norm_meta=self.norm_meta,
-            train_cfg=asdict(self.cfg),
-        )
-
-    def maybe_checkpoint(self) -> None:
-        if self.checkpoint_dir is None:
-            return
-        every = self.cfg.checkpoint_every
-        if every > 0 and self.epoch % every == 0 and self.epoch < self.cfg.epochs:
-            self.save(self.checkpoint_dir / f"checkpoint_ep{self.epoch:04d}.npz")
-
-
-def _init_session(data, cfg, arch, resume, model_cls, loss_keys, lr_groups, checkpoint_dir):
-    cfg.validate()
-    if checkpoint_dir is not None:
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
+def _training_values(data) -> tuple[np.ndarray, dict | None]:
     if isinstance(data, DayMatrix):
         if not data.normalized:
             raise ValueError("training data must be normalized")
-        values = data.values
         norm_meta = {"norm_min": data.norm_min, "norm_max": data.norm_max, "kind": data.kind}
-    else:
-        values = np.asarray(data, dtype=np.float64)
-        norm_meta = None
+        return data.values, norm_meta
+    return np.asarray(data, dtype=np.float64), None
+
+
+def _train(model_cls, build_graph, data, cfg, arch, resume, checkpoint_dir):
+    """The one training loop: every model is a graph plus its phase list.
+
+    Per batch, the graph's noise inputs are drawn in its declared order, then
+    each phase runs forward, backward and its group's Adam step on one loss
+    node; discriminator phases repeat d_steps_per_g_step times.
+    """
+    cfg.validate()
+    checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
+    if checkpoint_dir is not None:
+        checkpoint_dir.mkdir(parents=True, exist_ok=True)
+    values, norm_meta = _training_values(data)
 
     if resume is not None:
         if resume.kind != model_cls.kind:
             raise ValueError(f"checkpoint is for {resume.kind!r}, expected {model_cls.kind!r}")
         model = nets.model_from_checkpoint(resume)
         rng = nets.rng_from_state(resume.rng_state)
-        start_epoch = resume.epoch
-        step = resume.step
-        adam_t = resume.adam_steps
+        start_epoch, step, adam_t = resume.epoch, resume.step, resume.adam_steps
         norm_meta = resume.norm_meta or norm_meta
     else:
         rng = np.random.default_rng(cfg.seed)
         model = model_cls(arch or nets.ArchConfig(), rng)
-        start_epoch = 0
-        step = 0
-        adam_t = {}
+        start_epoch, step, adam_t = 0, 0, {}
 
     optimizers = {
         name: AdamOptimizer(
-            group, lr_groups[name], cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps,
-            t=adam_t.get(name, 0),
+            group, cfg.lr_d if name == "discriminator" else cfg.lr_g,
+            cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, t=adam_t.get(name, 0),
         )
         for name, group in model.param_groups().items()
     }
-    session = _Session(
-        model=model, cfg=cfg, rng=rng, log=TrainLog(loss_keys), optimizers=optimizers,
-        start_epoch=start_epoch, step=step, norm_meta=norm_meta, checkpoint_dir=checkpoint_dir,
-        epoch=start_epoch,
-    )
-    return session, values
+    graph = build_graph(model)
+    schedule = [
+        (graph.nodes[loss], optimizers[group])
+        for loss, group in graph.phases
+        for _ in range(cfg.d_steps_per_g_step if group == "discriminator" else 1)
+    ]
+    log = TrainLog(graph.nodes)
+
+    def save(path, epoch):
+        nets.save_checkpoint(
+            path, model, seed=cfg.seed, epoch=epoch, step=step,
+            adam_steps={name: opt.t for name, opt in optimizers.items()},
+            rng=rng, norm_meta=norm_meta, train_cfg=asdict(cfg),
+        )
+
+    epoch = start_epoch
+    for epoch in range(start_epoch + 1, cfg.epochs + 1):
+        t0 = time.perf_counter()
+        for batch_idx in _batches(len(values), cfg.batch_size, rng):
+            x = values[batch_idx][:, None, :]
+            bind = {graph.x: x}
+            for node, shape in graph.draws:
+                bind[node] = rng.standard_normal((len(x),) + shape)
+            step += 1
+            for loss, opt in schedule:
+                ad.forward(loss, bind)
+                ad.backward(loss)
+                opt.step()
+            # snapshot: D terms from the last D forward, the rest from later phases
+            losses = graph.bundle()
+            _check_finite(losses, step)
+            log.record(step, epoch, losses)
+        log.epoch_wall.append((epoch, time.perf_counter() - t0))
+        every = cfg.checkpoint_every
+        if checkpoint_dir is not None and every > 0 and epoch % every == 0 and epoch < cfg.epochs:
+            save(checkpoint_dir / f"checkpoint_ep{epoch:04d}.npz", epoch)
+
+    if checkpoint_dir is not None:
+        save(checkpoint_dir / "checkpoint.npz", epoch)
+    return model, log
 
 
 def train_vaegan(
@@ -220,55 +217,10 @@ def train_vaegan(
     checkpoint_dir=None,
 ) -> tuple[nets.VaeGanModel, TrainLog]:
     """Train encoder + generator + discriminator on normalized day profiles."""
-    checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    session, values = _init_session(
-        data, cfg, arch, resume, nets.VaeGanModel, VAEGAN_LOSS_KEYS,
-        {"encoder": cfg.lr_g, "generator": cfg.lr_g, "discriminator": cfg.lr_d},
-        checkpoint_dir,
+    return _train(
+        nets.VaeGanModel, lambda model: nets.build_vaegan_graph(model, fake_source=cfg.fake_source),
+        data, cfg, arch, resume, checkpoint_dir,
     )
-    model, rng, log = session.model, session.rng, session.log
-    graph = nets.build_vaegan_graph(model, fake_source=cfg.fake_source)
-    latent = model.arch.latent_dim
-    seq_len = model.arch.seq_len
-
-    for epoch in range(session.start_epoch + 1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        for batch_idx in _batches(len(values), cfg.batch_size, rng):
-            x = values[batch_idx][:, None, :]
-            b = x.shape[0]
-            bind = {
-                graph.x: x,
-                graph.eps: rng.standard_normal((b, latent)),
-                graph.noise: rng.standard_normal((b, 1, seq_len)),
-            }
-            if graph.z_prior is not None:
-                bind[graph.z_prior] = rng.standard_normal((b, latent))
-            session.step += 1
-
-            for _ in range(cfg.d_steps_per_g_step):
-                ad.forward(graph.nodes["l_D"], bind)
-                ad.backward(graph.nodes["l_D"])
-                session.optimizers["discriminator"].step()
-
-            ad.forward(graph.nodes["l_reconstruction"], bind)
-            ad.backward(graph.nodes["l_reconstruction"])
-            session.optimizers["encoder"].step()
-
-            ad.forward(graph.nodes["l_generator"], bind)
-            ad.backward(graph.nodes["l_generator"])
-            session.optimizers["generator"].step()
-
-            # snapshot: D terms from the last D forward, G terms from the G forward
-            losses = graph.bundle()
-            _check_finite(losses, session.step)
-            log.record(session.step, epoch, losses)
-        log.epoch_wall.append((epoch, time.perf_counter() - t0))
-        session.epoch = epoch
-        session.maybe_checkpoint()
-
-    if checkpoint_dir is not None:
-        session.save(checkpoint_dir / "checkpoint.npz")
-    return model, log
 
 
 def train_gan(
@@ -278,41 +230,5 @@ def train_gan(
     resume: nets.Checkpoint | None = None,
     checkpoint_dir=None,
 ) -> tuple[nets.GanModel, TrainLog]:
-    """Train the vanilla-GAN baseline with the same determinism contract."""
-    checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    session, values = _init_session(
-        data, cfg, arch, resume, nets.GanModel, GAN_LOSS_KEYS,
-        {"generator": cfg.lr_g, "discriminator": cfg.lr_d},
-        checkpoint_dir,
-    )
-    model, rng, log = session.model, session.rng, session.log
-    graph = nets.build_gan_graph(model)
-    latent = model.arch.latent_dim
-
-    for epoch in range(session.start_epoch + 1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        for batch_idx in _batches(len(values), cfg.batch_size, rng):
-            x = values[batch_idx][:, None, :]
-            b = x.shape[0]
-            bind = {graph.x: x, graph.z: rng.standard_normal((b, latent))}
-            session.step += 1
-
-            for _ in range(cfg.d_steps_per_g_step):
-                ad.forward(graph.nodes["d_loss"], bind)
-                ad.backward(graph.nodes["d_loss"])
-                session.optimizers["discriminator"].step()
-
-            ad.forward(graph.nodes["g_loss"], bind)
-            ad.backward(graph.nodes["g_loss"])
-            session.optimizers["generator"].step()
-
-            losses = graph.bundle()
-            _check_finite(losses, session.step)
-            log.record(session.step, epoch, losses)
-        log.epoch_wall.append((epoch, time.perf_counter() - t0))
-        session.epoch = epoch
-        session.maybe_checkpoint()
-
-    if checkpoint_dir is not None:
-        session.save(checkpoint_dir / "checkpoint.npz")
-    return model, log
+    """Train the vanilla-GAN baseline with the same loop and determinism contract."""
+    return _train(nets.GanModel, nets.build_gan_graph, data, cfg, arch, resume, checkpoint_dir)

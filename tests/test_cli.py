@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism, help."""
 import datetime as dtmod
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,15 @@ import pytest
 from gridsynth import cli
 from gridsynth.config import RunConfig, config_hash, load_run_config, run_dir
 from gridsynth.errors import UsageError
+
+from test_datapipe import corrupt_matrix_csv
+
+# RunConfig keys read by the pipeline itself rather than mirrored into
+# TrainConfig / ArchConfig / MetricsConfig
+PIPELINE_KEYS = {
+    "input_path", "timestamp_column", "value_column", "kind", "timezone",
+    "source_period_minutes", "day_completeness", "model", "n_synthetic", "out_dir",
+}
 
 
 def make_raw_csv(path, n_days=3, seed=0):
@@ -67,6 +77,35 @@ class TestConfig:
         b = load_run_config(cfg_path, {"out_dir": "y"})
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(load_run_config(cfg_path, {"seed": 123}))
+
+    def test_household_is_not_a_key(self, workspace, capsys):
+        tmp_path, _ = workspace
+        cfg_path = write_config(tmp_path, tmp_path / "house.csv", household="h1")
+        assert cli.main(["ingest", "--config", str(cfg_path)]) == 1
+        assert "household" in capsys.readouterr().err
+
+    def test_derived_configs_carry_every_mirrored_key(self, tmp_path):
+        values = {
+            "latent_dim": 5, "channels": 7, "kernel_size": 2, "dilations": "1,3",
+            "leaky_slope": 0.1, "epochs": 3, "batch_size": 5, "lr_g": 1e-3, "lr_d": 3e-3,
+            "adam_beta1": 0.4, "adam_beta2": 0.99, "adam_eps": 1e-7, "seed": 11,
+            "d_steps_per_g_step": 2, "checkpoint_every": 4, "fake_source": "prior",
+            "bins": 17, "sigma": "2.5", "mmd_on": "pooled", "alpha_high": 0.8, "alpha_low": 0.2,
+        }
+        defaults = RunConfig()
+        for key, val in values.items():
+            assert getattr(defaults, key) != val, key
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+        cfg = load_run_config(path)
+        mirrored = {}
+        for derived in (cfg.arch_config(), cfg.train_config(), cfg.metrics_config()):
+            for f in fields(derived):
+                if f.name in RunConfig.__dataclass_fields__:
+                    mirrored[f.name] = getattr(derived, f.name)
+        assert mirrored == {**values, "dilations": (1, 3), "sigma": 2.5}
+        assert not set(mirrored) & PIPELINE_KEYS
+        assert set(RunConfig.__dataclass_fields__) == set(mirrored) | PIPELINE_KEYS
 
     def test_defaults_documented_in_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -174,6 +213,31 @@ class TestPipeline:
         ckpt = run_dir(cfg) / cli.CHECKPOINT
         # same epochs as the checkpoint: nothing further to train, still exit 0
         assert cli.main(["train", "--config", str(cfg_path), "--resume", str(ckpt)]) == 0
+
+
+class TestMalformedArtifacts:
+    @pytest.mark.parametrize("target,how", [
+        (cli.DAYMATRIX_CSV, "non_numeric"),
+        (cli.SYNTH_CSV, "non_numeric"),
+        (cli.SYNTH_CSV, "empty"),
+    ])
+    def test_corrupt_matrix_evaluate_is_2(self, workspace, capsys, target, how):
+        _, cfg_path = workspace
+        for command in ("ingest", "train", "generate"):
+            assert cli.main([command, "--config", str(cfg_path)]) == 0
+        corrupt_matrix_csv(run_dir(load_run_config(cfg_path)) / target, how)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(cfg_path)]) == 2
+        assert target in capsys.readouterr().err
+
+    def test_garbage_resume_checkpoint_is_2(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        assert cli.main(["ingest", "--config", str(cfg_path)]) == 0
+        garbage = tmp_path / "garbage.npz"
+        garbage.write_bytes(np.random.default_rng(0).bytes(300))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg_path), "--resume", str(garbage)]) == 2
+        assert "garbage.npz" in capsys.readouterr().err
 
 
 class TestGenerateFlags:

@@ -7,6 +7,30 @@ from gridsynth import datapipe as dp
 from gridsynth.errors import DataError
 
 
+def corrupt_matrix_csv(path, how):
+    """Damage a t00..t95 matrix CSV written by save_day_matrix or export."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header, rows = lines[0], lines[1:]
+    cells = rows[0].split(",")
+    if how == "non_numeric":
+        rows[0] = ",".join(["abc"] + cells[1:])
+    elif how == "non_finite":
+        rows[0] = ",".join(["nan"] + cells[1:])
+    elif how == "ragged":
+        rows[0] = ",".join(cells[:-1])
+    elif how == "bad_header":
+        header = header.replace("t00", "x00")
+    elif how == "header_only":
+        rows = []
+    elif how == "empty":
+        header, rows = None, []
+    lines = ([header] if header else []) + rows
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+MATRIX_CORRUPTIONS = ("non_numeric", "non_finite", "ragged", "bad_header", "header_only", "empty")
+
+
 def write_csv(path, rows, header="timestamp,power_w"):
     path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
     return path
@@ -217,6 +241,22 @@ class TestDayMatrixIO:
         dp.save_day_matrix(matrix, tmp_path / "m.csv")
         header = (tmp_path / "m.csv").read_text().splitlines()[0]
         assert header.startswith("t00,t01") and header.endswith("t95")
+
+    @pytest.mark.parametrize("how", MATRIX_CORRUPTIONS)
+    def test_malformed_file_is_data_error(self, tmp_path, how):
+        path = tmp_path / "m.csv"
+        dp.save_day_matrix(dp.normalize(dp.DayMatrix(np.arange(192.0).reshape(2, 96))), path)
+        corrupt_matrix_csv(path, how)
+        with pytest.raises(DataError):
+            dp.load_day_matrix(path)
+
+    def test_malformed_sidecar_is_data_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        dp.save_day_matrix(dp.normalize(dp.DayMatrix(np.arange(192.0).reshape(2, 96))), path)
+        sidecar = tmp_path / "m.csv.meta"
+        sidecar.write_text(sidecar.read_text().replace("norm_min = 0.0", "norm_min = abc"))
+        with pytest.raises(DataError, match="norm_min"):
+            dp.load_day_matrix(path)
 
 
 class TestIngestFixture:

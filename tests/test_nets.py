@@ -1,4 +1,5 @@
 """Network graphs, loss terms of the composite game, and checkpoint I/O."""
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from gridsynth import autodiff as ad
 from gridsynth import nets
+from gridsynth.errors import DataError
 
 TINY = nets.ArchConfig(seq_len=16, latent_dim=4, channels=3, kernel_size=3, dilations=(1, 2))
 
@@ -280,3 +282,42 @@ class TestCheckpoint:
         assert ckpt.kind == "gan"
         model = nets.model_from_checkpoint(ckpt)
         assert isinstance(model, nets.GanModel)
+
+    @pytest.mark.parametrize("damage", [
+        "garbage", "truncated", "empty", "no_meta", "no_schema", "unknown_schema", "unknown_kind",
+    ])
+    def test_unreadable_file_is_data_error(self, tmp_path, gan, damage):
+        path = tmp_path / "c.npz"
+        nets.save_checkpoint(path, gan, seed=0)
+        good = path.read_bytes()
+        with np.load(path) as data:
+            meta = json.loads(str(data["meta"]))
+        if damage == "garbage":
+            path.write_bytes(np.random.default_rng(0).bytes(500))
+        elif damage == "truncated":
+            path.write_bytes(good[: len(good) // 2])
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "no_meta":
+            np.savez(path, **{"param/gen.out.b": np.zeros(1)})
+        else:
+            if damage == "no_schema":
+                del meta["schema"]
+            elif damage == "unknown_schema":
+                meta["schema"] = "gridsynth.checkpoint/99"
+            else:
+                meta["kind"] = "wavenet"
+            np.savez(path, meta=np.array(json.dumps(meta)))
+        with pytest.raises(DataError):
+            nets.load_checkpoint(path)
+
+    def test_missing_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="not found"):
+            nets.load_checkpoint(tmp_path / "absent.npz")
+
+    def test_arrays_that_do_not_fit_are_data_error(self, tmp_path, gan):
+        nets.save_checkpoint(tmp_path / "c.npz", gan, seed=0)
+        ckpt = nets.load_checkpoint(tmp_path / "c.npz")
+        ckpt.params["gen.out.b"] = np.zeros(3)
+        with pytest.raises(DataError, match="do not fit"):
+            nets.model_from_checkpoint(ckpt)

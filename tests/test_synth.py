@@ -5,6 +5,8 @@ import pytest
 from gridsynth import nets, synth
 from gridsynth.errors import DataError
 
+from test_datapipe import MATRIX_CORRUPTIONS, corrupt_matrix_csv
+
 TINY = nets.ArchConfig(seq_len=96, latent_dim=4, channels=3, kernel_size=3, dilations=(1, 2))
 NORM = {"norm_min": 50.0, "norm_max": 950.0, "kind": "load"}
 
@@ -100,3 +102,10 @@ class TestExport:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             synth.load_exported(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("how", MATRIX_CORRUPTIONS)
+    def test_malformed_file_is_data_error(self, tmp_path, model, how):
+        synth.export(synth.sample(model, 2, seed=1, norm_meta=NORM), tmp_path / "synth.csv")
+        corrupt_matrix_csv(tmp_path / "synth.csv", how)
+        with pytest.raises(DataError):
+            synth.load_exported(tmp_path / "synth.csv")

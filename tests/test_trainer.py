@@ -79,6 +79,24 @@ class TestDeterminism:
         assert not np.array_equal(head1, head2)
 
 
+class TestDiscriminatorSteps:
+    @pytest.mark.parametrize("train_fn", [trainer.train_vaegan, trainer.train_gan])
+    def test_two_d_steps_per_g_step(self, train_fn, tmp_path):
+        data = tiny_data()
+        logs = []
+        for tag in ("a", "b"):
+            _, log = train_fn(
+                data, quick_cfg(d_steps_per_g_step=2), arch=TINY, checkpoint_dir=tmp_path / tag
+            )
+            logs.append(log)
+        ckpt = nets.load_checkpoint(tmp_path / "a" / "checkpoint.npz")
+        assert ckpt.adam_steps["generator"] == len(logs[0].steps) > 0
+        assert ckpt.adam_steps["discriminator"] == 2 * ckpt.adam_steps["generator"]
+        assert logs[0].steps == logs[1].steps
+        bytes_a = (tmp_path / "a" / "checkpoint.npz").read_bytes()
+        assert bytes_a == (tmp_path / "b" / "checkpoint.npz").read_bytes()
+
+
 class TestZeroLearningRate:
     @pytest.mark.parametrize("train_fn", [trainer.train_vaegan, trainer.train_gan])
     def test_params_unchanged(self, train_fn):
@@ -164,11 +182,17 @@ class TestDivergenceGuard:
 class TestTrainLog:
     def test_csv_round_trip_columns(self, tmp_path):
         data = tiny_data()
-        _, log = trainer.train_gan(data, quick_cfg(epochs=1), arch=TINY)
-        log.to_csv(tmp_path / "log.csv")
-        lines = (tmp_path / "log.csv").read_text().splitlines()
-        assert lines[0] == "step,epoch,g_loss,d_loss"
-        assert len(lines) == 1 + len(log.steps)
+        headers = {
+            trainer.train_gan: "step,epoch,g_loss,d_loss",
+            trainer.train_vaegan: "step,epoch,l_prior,recon_mse,l_reconstruction,l_dG,"
+            "l_generator,l_real,l_fake,l_noise,l_D",
+        }
+        for train_fn, header in headers.items():
+            _, log = train_fn(data, quick_cfg(epochs=1), arch=TINY)
+            log.to_csv(tmp_path / "log.csv")
+            lines = (tmp_path / "log.csv").read_text().splitlines()
+            assert lines[0] == header
+            assert len(lines) == 1 + len(log.steps)
         log.wall_to_csv(tmp_path / "epochs.csv")
         assert (tmp_path / "epochs.csv").read_text().splitlines()[0] == "epoch,wall_seconds"
 
