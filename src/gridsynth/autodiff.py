@@ -9,6 +9,10 @@ the batch dimension.
 Gradient convention: backward(root) requires a scalar root, overwrites the
 grad of every node reachable from the root, and accumulates additively when
 a node (typically a Param) feeds several branches of the same graph.
+backward(root, wrt=params) visits only the nodes on a path from the root to
+one of those Params and overwrites only their grads; the grads of off-path
+nodes, and of Params outside wrt, are left stale from earlier sweeps. The
+wanted Params get bit-identical grads either way.
 """
 from __future__ import annotations
 
@@ -66,13 +70,18 @@ class Node:
         self.value: np.ndarray | None = None
         self.grad: np.ndarray | None = None
         self._topo: list[Node] | None = None
+        self._plans: dict = {}  # backward plans of this root, keyed by wrt
         self._bindings: dict | None = None
 
     def _forward(self, *vals: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _backward(self, grad: np.ndarray, *vals: np.ndarray):
-        """Return one gradient array (or None) per input."""
+    def _backward(self, grad: np.ndarray, needs: tuple, *vals: np.ndarray):
+        """Return one gradient array per input.
+
+        Where needs[i] is False nothing reads input i's gradient, so the op
+        may skip computing it and return None in its place.
+        """
         raise NotImplementedError
 
     def _label(self) -> str:
@@ -151,10 +160,12 @@ class Dense(Node):
             y = y.reshape((x.shape[0],) + self.out_shape)
         return y
 
-    def _backward(self, g, x, w, b):
-        x2 = x.reshape(x.shape[0], -1)
+    def _backward(self, g, needs, x, w, b):
         g2 = g.reshape(g.shape[0], -1)
-        return (g2 @ w).reshape(x.shape), g2.T @ x2, g2.sum(axis=0)
+        gx = (g2 @ w).reshape(x.shape) if needs[0] else None
+        gw = g2.T @ x.reshape(x.shape[0], -1) if needs[1] else None
+        gb = g2.sum(axis=0) if needs[2] else None
+        return gx, gw, gb
 
 
 class DilatedCausalConv1d(Node):
@@ -200,36 +211,53 @@ class DilatedCausalConv1d(Node):
         self._squeeze = squeeze
         return out[0] if squeeze else out
 
-    def _backward(self, g, x, w, b):
+    def _backward(self, g, needs, x, w, b):
         squeeze = self._squeeze
         if squeeze:
             g = g[None]
             x = x[None]
         c_out, c_in, k = w.shape
         bsz, _, t = x.shape
-        pad = (k - 1) * self.dilation
-        cols = self._cols
-        gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(c_out, c_in, k)
-        gcols = np.matmul(w.reshape(c_out, c_in * k).T, g).reshape(bsz, c_in, k, t)
-        gxpad = np.zeros((bsz, c_in, t + pad))
-        for j in range(k):
-            gxpad[:, :, j * self.dilation : j * self.dilation + t] += gcols[:, :, j, :]
-        gx = gxpad[:, :, pad:]
-        return (gx[0] if squeeze else gx), gw, g.sum(axis=(0, 2))
+        gx = gw = gb = None
+        if needs[0]:
+            pad = (k - 1) * self.dilation
+            gcols = np.matmul(w.reshape(c_out, c_in * k).T, g).reshape(bsz, c_in, k, t)
+            gxpad = np.zeros((bsz, c_in, t + pad))
+            for j in range(k):
+                gxpad[:, :, j * self.dilation : j * self.dilation + t] += gcols[:, :, j, :]
+            gx = gxpad[:, :, pad:]
+            if squeeze:
+                gx = gx[0]
+        if needs[1]:
+            gw = np.matmul(g, self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(c_out, c_in, k)
+        if needs[2]:
+            gb = g.sum(axis=(0, 2))
+        return gx, gw, gb
 
 
 class LeakyRelu(Node):
+    """max(x, slope * x) with slope in (0, 1].
+
+    In that range the max form equals where(x >= 0, x, slope * x) bit for
+    bit, signed zeros, infinities and NaN included; at slope 0 it would turn
+    +inf into NaN. The derivative is looked up from the sign test, which
+    numpy does several times faster than np.where against scalars.
+    """
+
     op = "leaky_relu"
 
     def __init__(self, x: Node, slope: float = 0.2):
         super().__init__(x)
+        if not 0.0 < slope <= 1.0:
+            raise GraphError(f"leaky_relu: slope must be in (0, 1], got {slope!r}")
         self.slope = float(slope)
+        self._dydx = np.array([self.slope, 1.0])  # indexed by x >= 0
 
     def _forward(self, x):
-        return np.where(x >= 0, x, self.slope * x)
+        return np.maximum(x, self.slope * x)
 
-    def _backward(self, g, x):
-        return (g * np.where(x >= 0, 1.0, self.slope),)
+    def _backward(self, g, needs, x):
+        return (g * np.take(self._dydx, (x >= 0).view(np.uint8)),)
 
 
 class Sigmoid(Node):
@@ -238,7 +266,7 @@ class Sigmoid(Node):
     def _forward(self, x):
         return sigmoid(x)
 
-    def _backward(self, g, x):
+    def _backward(self, g, needs, x):
         s = self.value
         return (g * s * (1.0 - s),)
 
@@ -249,7 +277,7 @@ class Tanh(Node):
     def _forward(self, x):
         return np.tanh(x)
 
-    def _backward(self, g, x):
+    def _backward(self, g, needs, x):
         return (g * (1.0 - self.value**2),)
 
 
@@ -263,7 +291,7 @@ class Add(Node):
             raise self._shape_error(f"operand shapes differ: {a.shape} vs {b.shape}")
         return a + b
 
-    def _backward(self, g, a, b):
+    def _backward(self, g, needs, a, b):
         return g, g
 
 
@@ -280,7 +308,7 @@ class Affine(Node):
     def _forward(self, x):
         return self.scale * x + self.shift
 
-    def _backward(self, g, x):
+    def _backward(self, g, needs, x):
         return (self.scale * g,)
 
 
@@ -299,7 +327,7 @@ class Clamp(Node):
     def _forward(self, x):
         return np.clip(x, self.lo, self.hi)
 
-    def _backward(self, g, x):
+    def _backward(self, g, needs, x):
         return (g * ((x >= self.lo) & (x <= self.hi)),)
 
 
@@ -309,7 +337,7 @@ class Sum(Node):
     def _forward(self, x):
         return np.asarray(x.sum())
 
-    def _backward(self, g, x):
+    def _backward(self, g, needs, x):
         return (np.broadcast_to(g, x.shape).copy(),)
 
 
@@ -319,7 +347,7 @@ class Mean(Node):
     def _forward(self, x):
         return np.asarray(x.mean())
 
-    def _backward(self, g, x):
+    def _backward(self, g, needs, x):
         return (np.full(x.shape, float(g) / x.size),)
 
 
@@ -333,7 +361,7 @@ class Mse(Node):
             raise self._shape_error(f"operand shapes differ: {a.shape} vs {b.shape}")
         return np.asarray(((a - b) ** 2).mean())
 
-    def _backward(self, g, a, b):
+    def _backward(self, g, needs, a, b):
         d = (2.0 * float(g) / a.size) * (a - b)
         return d, -d
 
@@ -357,7 +385,7 @@ class Bce(Node):
     def _forward(self, t):
         return np.asarray((softplus(t) - self.label * t).mean())
 
-    def _backward(self, g, t):
+    def _backward(self, g, needs, t):
         return ((float(g) / t.size) * (sigmoid(t) - self.label),)
 
 
@@ -373,7 +401,7 @@ class GaussianKl(Node):
         batch = mean.shape[0] if mean.ndim >= 2 else 1
         return np.asarray(0.5 * np.sum(mean**2 + np.exp(logvar) - 1.0 - logvar) / batch)
 
-    def _backward(self, g, mean, logvar):
+    def _backward(self, g, needs, mean, logvar):
         batch = mean.shape[0] if mean.ndim >= 2 else 1
         coeff = float(g) / batch
         return coeff * mean, coeff * 0.5 * (np.exp(logvar) - 1.0)
@@ -391,7 +419,7 @@ class Reparameterize(Node):
             )
         return mean + np.exp(0.5 * logvar) * eps
 
-    def _backward(self, g, mean, logvar, eps):
+    def _backward(self, g, needs, mean, logvar, eps):
         std = np.exp(0.5 * logvar)
         return g, g * eps * 0.5 * std, g * std
 
@@ -471,24 +499,56 @@ def forward(root: Node, bindings: dict | None = None) -> np.ndarray:
     return root.value
 
 
-def backward(root: Node) -> None:
-    """Reverse-mode sweep from a scalar root; fills grad on every ancestor."""
+def _backward_plan(root: Node, wrt) -> tuple[list[Node], list[tuple[Node, tuple]]]:
+    """(nodes whose grad the sweep fills, [(op node, per-input needs)] in
+    reversed topo order) for one root and wrt set, cached on the root.
+
+    A node is on the plan when it is a wrt Param or one of its inputs is on
+    the plan, i.e. when some path leads from it to a wanted Param; wrt=None
+    plans every node reachable from the root. Each input's grad then gets
+    the same terms in the same order as in the full sweep.
+    """
+    key = None if wrt is None else frozenset(wrt)
+    plan = root._plans.get(key)
+    if plan is None:
+        order = topo_order(root)
+        if key is None:
+            on_path = set(order)
+        else:
+            on_path = set()
+            for node in order:
+                if node in key or any(inp in on_path for inp in node.inputs):
+                    on_path.add(node)
+        fill = [node for node in order if node in on_path]
+        steps = [
+            (node, tuple(inp in on_path for inp in node.inputs))
+            for node in reversed(fill) if node.inputs
+        ]
+        plan = root._plans[key] = (fill, steps)
+    return plan
+
+
+def backward(root: Node, wrt=None) -> None:
+    """Reverse-mode sweep from a scalar root.
+
+    With wrt=None, fills grad on every ancestor. With an iterable of Params,
+    visits only the nodes on a path from root to one of them and computes
+    only the input gradients those nodes need.
+    """
     if root.value is None:
         raise GraphError("backward called before forward")
     if root.value.size != 1:
         raise NonScalarRootError(f"root must be scalar, has shape {root.value.shape}")
-    order = topo_order(root)
-    for node in order:
+    fill, steps = _backward_plan(root, wrt)
+    for node in fill:
         if node.value is None:
             raise GraphError(f"{node._label()}: no cached value; run forward first")
         node.grad = np.zeros_like(node.value)
     root.grad = np.ones_like(root.value)
-    for node in reversed(order):
-        if not node.inputs:
-            continue
-        grads = node._backward(node.grad, *(inp.value for inp in node.inputs))
-        for inp, g in zip(node.inputs, grads):
-            if g is not None:
+    for node, needs in steps:
+        grads = node._backward(node.grad, needs, *(inp.value for inp in node.inputs))
+        for inp, need, g in zip(node.inputs, needs, grads):
+            if need:
                 inp.grad += g
 
 

@@ -72,7 +72,10 @@ class RunConfig:
             raise UsageError(f"dilations must be comma-separated integers, got {self.dilations!r}")
         if not dilations or any(d < 1 for d in dilations):
             raise UsageError(f"dilations must be positive, got {self.dilations!r}")
-        return self._derive(ArchConfig, dilations=dilations)
+        try:
+            return self._derive(ArchConfig, dilations=dilations)
+        except ValueError as exc:
+            raise UsageError(str(exc))
 
     def train_config(self) -> TrainConfig:
         cfg = self._derive(TrainConfig)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -375,6 +377,24 @@ def day_matrix_from(values: np.ndarray, meta: dict[str, str]) -> DayMatrix:
 
 def load_day_matrix(csv_path) -> DayMatrix:
     return day_matrix_from(*read_matrix(csv_path))
+
+
+@contextmanager
+def replaced_on_success(path):
+    """Yield a temp path beside `path` to write; os.replace it onto `path`
+    when the block completes, delete it when the block raises.
+
+    A crash mid-write therefore leaves the previous file intact instead of a
+    truncated one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_kv_file(path) -> dict[str, str]:

@@ -8,11 +8,12 @@ data; the report records every knob so results stay reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
+from .datapipe import replaced_on_success
 from .errors import DataError
 
 DEFAULT_BINS = 100
@@ -201,6 +202,10 @@ class MetricsConfig:
     max_pooled_mmd_samples: int = 4096
 
 
+# MetricsReport field annotation -> the JSON values load() accepts for it
+_REPORT_TYPES = {"float": (int, float), "dict": dict, "str": str}
+
+
 @dataclass
 class MetricsReport:
     """Full real-vs-synthetic comparison, serializable as deterministic JSON."""
@@ -220,15 +225,32 @@ class MetricsReport:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        with replaced_on_success(path) as tmp:
+            tmp.write_text(self.to_json(), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "MetricsReport":
+        """Read a save() file. A missing, unreadable, truncated or foreign
+        file, an unknown or missing key, or a value of the wrong JSON type
+        raises DataError."""
         path = Path(path)
         if not path.exists():
             raise DataError(f"report not found: {path}")
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        raw.pop("schema", None)
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: unreadable report ({exc})")
+        if not isinstance(raw, dict) or raw.get("schema") != cls.schema:
+            raise DataError(f"{path}: not a {cls.schema} file")
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise DataError(f"{path}: unknown keys {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name not in raw and f.default is MISSING:
+                raise DataError(f"{path}: missing key {f.name!r}")
+            val = raw.get(f.name, f.default)
+            if isinstance(val, bool) or not isinstance(val, _REPORT_TYPES[f.type]):
+                raise DataError(f"{path}: {f.name} must be a JSON {f.type}, got {val!r}")
         return cls(**raw)
 
 

@@ -23,6 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import autodiff as ad
+from .datapipe import replaced_on_success
 from .errors import DataError
 
 
@@ -37,6 +38,10 @@ class ArchConfig:
     dilations: tuple = (1, 2, 4, 8)
     leaky_slope: float = 0.2
     logvar_clip: float = 10.0
+
+    def __post_init__(self):
+        if not 0.0 < self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky_slope must be in (0, 1], got {self.leaky_slope!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -427,7 +432,7 @@ def save_checkpoint(
         "train_cfg": train_cfg,
     }
     arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
-    with open(path, "wb") as fh:
+    with replaced_on_success(path) as tmp, open(tmp, "wb") as fh:
         np.savez(fh, **arrays)
 
 

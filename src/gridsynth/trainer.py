@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nets
 from .datapipe import DayMatrix
-from .errors import TrainingDiverged
+from .errors import DataError, TrainingDiverged
 
 @dataclass
 class TrainConfig:
@@ -129,7 +129,7 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 def _training_values(data) -> tuple[np.ndarray, dict | None]:
     if isinstance(data, DayMatrix):
         if not data.normalized:
-            raise ValueError("training data must be normalized")
+            raise DataError("training data must be normalized (norm_min/norm_max missing)")
         norm_meta = {"norm_min": data.norm_min, "norm_max": data.norm_max, "kind": data.kind}
         return data.values, norm_meta
     return np.asarray(data, dtype=np.float64), None
@@ -150,7 +150,7 @@ def _train(model_cls, build_graph, data, cfg, arch, resume, checkpoint_dir):
 
     if resume is not None:
         if resume.kind != model_cls.kind:
-            raise ValueError(f"checkpoint is for {resume.kind!r}, expected {model_cls.kind!r}")
+            raise DataError(f"checkpoint is for {resume.kind!r}, expected {model_cls.kind!r}")
         model = nets.model_from_checkpoint(resume)
         rng = nets.rng_from_state(resume.rng_state)
         start_epoch, step, adam_t = resume.epoch, resume.step, resume.adam_steps
@@ -193,7 +193,7 @@ def _train(model_cls, build_graph, data, cfg, arch, resume, checkpoint_dir):
             step += 1
             for loss, opt in schedule:
                 ad.forward(loss, bind)
-                ad.backward(loss)
+                ad.backward(loss, opt.params)
                 opt.step()
             # snapshot: D terms from the last D forward, the rest from later phases
             losses = graph.bundle()

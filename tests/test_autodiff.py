@@ -339,3 +339,90 @@ def test_conv_causality_random(t_len, k, dilation):
     zeroed[:, :, cut + 1 :] = 0.0
     after = ad.forward(node, {x: zeroed})
     np.testing.assert_array_equal(after[:, :, : cut + 1], base[:, :, : cut + 1])
+
+
+class TestLeakyRelu:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.5, -1.5, 1e308, -1e308]
+
+    @pytest.mark.parametrize("slope", [0.01, 0.2, 1.0])
+    def test_matches_where_reference_bit_for_bit(self, slope, rng):
+        x_val = np.concatenate([self.SPECIAL, rng.standard_normal(200)]).reshape(1, -1)
+        g_val = rng.standard_normal(x_val.shape)
+        node = ad.LeakyRelu(ad.Input("x"), slope)
+        out = ad.forward(node, {"x": x_val})
+        (grad,) = node._backward(g_val, (True,), x_val)
+        ref_out = np.where(x_val >= 0, x_val, slope * x_val)
+        ref_grad = g_val * np.where(x_val >= 0, 1.0, slope)
+        assert out.tobytes() == ref_out.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("slope", [0.0, -0.2, 1.5, np.nan])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ad.GraphError, match="slope"):
+            ad.LeakyRelu(ad.Input("x"), slope)
+
+
+def _two_branch_graph(rng):
+    """Sum of a dense branch in (w1, b1) and a conv branch that applies
+    (w2, b2) twice, both fed by one Input, so each branch is off the other's
+    path."""
+    x = ad.Input("x")
+    w1 = ad.Param("w1", rng.standard_normal((2, 12)))
+    b1 = ad.Param("b1", rng.standard_normal(2))
+    w2 = ad.Param("w2", rng.standard_normal((3, 3, 2)) * 0.5)
+    b2 = ad.Param("b2", rng.standard_normal(3))
+    h = ad.LeakyRelu(ad.DilatedCausalConv1d(x, w2, b2, 2), 0.2)
+    conv_branch = ad.Mean(ad.Tanh(ad.DilatedCausalConv1d(h, w2, b2, 1)))
+    dense_branch = ad.Mse(ad.Dense(ad.Sigmoid(x), w1, b1), ad.Constant(np.zeros((4, 2))))
+    root = ad.Add(conv_branch, dense_branch)
+    ad.forward(root, {x: rng.standard_normal((4, 3, 4))})
+    return root, x, (w1, b1), (w2, b2)
+
+
+class TestPrunedBackward:
+    def test_wanted_grads_bit_identical_to_full_sweep(self, rng):
+        root, _, dense_params, conv_params = _two_branch_graph(rng)
+        ad.backward(root)
+        full = {p.name: p.grad.copy() for p in dense_params + conv_params}
+        for group in (dense_params, conv_params, dense_params + conv_params):
+            for p in dense_params + conv_params:
+                p.grad = None
+            ad.backward(root, wrt=group)
+            for p in group:
+                assert p.grad.tobytes() == full[p.name].tobytes(), p.name
+
+    def test_off_path_grads_left_stale(self, rng):
+        root, x, dense_params, conv_params = _two_branch_graph(rng)
+        stale = np.full(3, 7.0)
+        conv_params[1].grad = stale
+        ad.backward(root, wrt=dense_params)
+        assert conv_params[1].grad is stale
+        assert x.grad is None  # the Input leaf is not on a path to wrt
+        ad.backward(root)
+        assert x.grad is not None and conv_params[1].grad is not stale
+
+    def test_plan_is_cached_per_wrt_on_the_root(self, rng):
+        root, _, dense_params, conv_params = _two_branch_graph(rng)
+        ad.backward(root, wrt=dense_params)
+        ad.backward(root, wrt=list(reversed(dense_params)))
+        ad.backward(root, wrt=conv_params)
+        ad.backward(root)
+        assert set(root._plans) == {frozenset(dense_params), frozenset(conv_params), None}
+        fill, steps = root._plans[frozenset(dense_params)]
+        assert not any(isinstance(node, ad.DilatedCausalConv1d) for node in fill)
+        dense_needs = [needs for node, needs in steps if isinstance(node, ad.Dense)]
+        assert dense_needs == [(False, True, True)]
+
+    def test_unneeded_op_gradients_not_computed(self, rng):
+        x = ad.Input("x")
+        w = ad.Param("w", rng.standard_normal((2, 3, 2)))
+        b = ad.Param("b", rng.standard_normal(2))
+        conv = ad.DilatedCausalConv1d(x, w, b, 1)
+        root = ad.Sum(conv)
+        ad.forward(root, {x: rng.standard_normal((2, 3, 5))})
+        gx, gw, gb = conv._backward(np.ones((2, 2, 5)), (False, True, False), x.value, w.value, b.value)
+        assert gx is None and gb is None and gw.shape == w.value.shape
+        dense = ad.Dense(x, ad.Param("v", rng.standard_normal((1, 15))), ad.Param("c", [0.0]))
+        ad.forward(dense, {x: x.value})
+        assert dense._backward(np.ones((2, 1)), (True, False, False), x.value,
+                               *(p.value for p in dense.inputs[1:]))[1:] == (None, None)

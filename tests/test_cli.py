@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism, help."""
 import datetime as dtmod
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -106,6 +107,15 @@ class TestConfig:
         assert mirrored == {**values, "dilations": (1, 3), "sigma": 2.5}
         assert not set(mirrored) & PIPELINE_KEYS
         assert set(RunConfig.__dataclass_fields__) == set(mirrored) | PIPELINE_KEYS
+
+    @pytest.mark.parametrize("slope", ["0", "-0.2", "1.5", "nan"])
+    def test_leaky_slope_outside_unit_interval_is_1(self, workspace, capsys, slope):
+        tmp_path, _ = workspace
+        cfg_path = write_config(tmp_path, tmp_path / "house.csv", leaky_slope=slope)
+        with pytest.raises(UsageError, match="leaky_slope"):
+            load_run_config(cfg_path)
+        assert cli.main(["ingest", "--config", str(cfg_path)]) == 1
+        assert "leaky_slope" in capsys.readouterr().err
 
     def test_defaults_documented_in_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -238,6 +248,66 @@ class TestMalformedArtifacts:
         capsys.readouterr()
         assert cli.main(["train", "--config", str(cfg_path), "--resume", str(garbage)]) == 2
         assert "garbage.npz" in capsys.readouterr().err
+
+
+    def test_resume_from_other_model_kind_is_2(self, workspace, capsys):
+        _, cfg_path = workspace
+        for model in ("vaegan", "gan"):
+            assert cli.main(["ingest", "--config", str(cfg_path), "--model", model]) == 0
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = run_dir(load_run_config(cfg_path)) / cli.CHECKPOINT
+        capsys.readouterr()
+        argv = ["train", "--config", str(cfg_path), "--model", "gan", "--resume", str(ckpt)]
+        assert cli.main(argv) == 2
+        assert "checkpoint is for 'vaegan'" in capsys.readouterr().err
+
+    def test_day_matrix_without_normalization_is_2(self, workspace, capsys):
+        _, cfg_path = workspace
+        assert cli.main(["ingest", "--config", str(cfg_path)]) == 0
+        sidecar = run_dir(load_run_config(cfg_path)) / (cli.DAYMATRIX_CSV + ".meta")
+        lines = sidecar.read_text(encoding="utf-8").splitlines()
+        kept = [line for line in lines if not line.startswith(("norm_min", "norm_max"))]
+        assert len(kept) == len(lines) - 2
+        sidecar.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert "normalized" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "not_utf8", "not_object", "unknown_key", "missing_key", "wrong_type",
+        "no_schema", "foreign_schema",
+    ])
+    def test_damaged_report_is_2(self, tmp_path, capsys, damage):
+        from gridsynth.metrics import full_report
+
+        rng = np.random.default_rng(0)
+        report = full_report(rng.uniform(0, 500, (4, 96)), rng.uniform(0, 500, (4, 96)))
+        path = tmp_path / "report.json"
+        report.save(path)
+        text = path.read_text(encoding="utf-8")
+        raw = json.loads(text)
+        if damage == "truncated":
+            path.write_text(text[: len(text) // 2], encoding="utf-8")
+        elif damage == "not_utf8":
+            path.write_bytes(b"\xff\xfe" + text.encode("utf-8"))
+        else:
+            if damage == "not_object":
+                raw = [raw]
+            elif damage == "unknown_key":
+                raw["extra"] = 1
+            elif damage == "missing_key":
+                del raw["mmd"]
+            elif damage == "wrong_type":
+                raw["kl"] = "0.1"
+            elif damage == "no_schema":
+                del raw["schema"]
+            else:
+                raw["schema"] = "gridsynth.metrics/99"
+            path.write_text(json.dumps(raw), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["report", str(path), "--out", str(tmp_path / "cmp")]) == 2
+        assert "report.json" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestGenerateFlags:

@@ -278,6 +278,26 @@ class TestFullReport:
         assert back.mmd == report.mmd
         assert back.to_json() == report.to_json()
 
+    def test_failed_write_keeps_previous_report(self, tmp_path, rng, monkeypatch):
+        from pathlib import Path
+
+        path = tmp_path / "report.json"
+        report = M.full_report(rng.uniform(0, 500, size=(5, 96)), rng.uniform(0, 500, size=(5, 96)))
+        report.save(path)
+        before = path.read_bytes()
+        assert before == report.to_json().encode("utf-8")
+        write_text = Path.write_text
+
+        def write_half_then_fail(self, text, **kwargs):
+            write_text(self, text[: len(text) // 2], **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            M.full_report(rng.uniform(0, 9, size=(3, 96)), rng.uniform(0, 9, size=(3, 96))).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
     def test_fixed_sigma_and_pooled_mode(self, rng):
         real = rng.uniform(0, 500, size=(5, 96))
         synt = rng.uniform(0, 500, size=(5, 96))

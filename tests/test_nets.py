@@ -285,6 +285,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("damage", [
         "garbage", "truncated", "empty", "no_meta", "no_schema", "unknown_schema", "unknown_kind",
+        "zero_leaky_slope",
     ])
     def test_unreadable_file_is_data_error(self, tmp_path, gan, damage):
         path = tmp_path / "c.npz"
@@ -305,6 +306,8 @@ class TestCheckpoint:
                 del meta["schema"]
             elif damage == "unknown_schema":
                 meta["schema"] = "gridsynth.checkpoint/99"
+            elif damage == "zero_leaky_slope":
+                meta["arch"]["leaky_slope"] = 0.0
             else:
                 meta["kind"] = "wavenet"
             np.savez(path, meta=np.array(json.dumps(meta)))
@@ -314,6 +317,24 @@ class TestCheckpoint:
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             nets.load_checkpoint(tmp_path / "absent.npz")
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, gan, monkeypatch):
+        path = tmp_path / "checkpoint.npz"
+        nets.save_checkpoint(path, gan, seed=0)
+        before = path.read_bytes()
+
+        def savez_then_fail(fh, **arrays):
+            fh.write(before[: len(before) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(nets.np, "savez", savez_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            nets.save_checkpoint(path, gan, seed=1)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.npz"]
+        monkeypatch.undo()
+        nets.save_checkpoint(path, gan, seed=0)
+        assert path.read_bytes() == before
 
     def test_arrays_that_do_not_fit_are_data_error(self, tmp_path, gan):
         nets.save_checkpoint(tmp_path / "c.npz", gan, seed=0)

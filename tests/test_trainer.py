@@ -1,4 +1,9 @@
 """Adam updates, determinism, resume equivalence and the divergence guard."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -77,6 +82,63 @@ class TestDeterminism:
         head1 = nets.all_params(m1)["gen.out.w"].value
         head2 = nets.all_params(m2)["gen.out.w"].value
         assert not np.array_equal(head1, head2)
+
+
+class TestPrunedBackwardOracle:
+    """Each phase's backward(loss, wrt=group) against the full sweep."""
+
+    @pytest.mark.parametrize("train_fn,kw", [
+        (trainer.train_vaegan, {}),
+        (trainer.train_gan, {}),
+        (trainer.train_vaegan, {"d_steps_per_g_step": 2}),
+        (trainer.train_gan, {"d_steps_per_g_step": 2}),
+        (trainer.train_vaegan, {"fake_source": "prior"}),
+    ])
+    def test_bit_identical_to_full_backward(self, train_fn, kw, monkeypatch):
+        data = tiny_data()
+        pruned_model, pruned_log = train_fn(data, quick_cfg(**kw), arch=TINY)
+        full_backward = ad.backward
+        monkeypatch.setattr(ad, "backward", lambda root, wrt=None: full_backward(root))
+        full_model, full_log = train_fn(data, quick_cfg(**kw), arch=TINY)
+        assert len(pruned_log.steps) == 4
+        assert pruned_log.steps == full_log.steps
+        full_params = nets.all_params(full_model)
+        for name, p in nets.all_params(pruned_model).items():
+            q = full_params[name]
+            for slot in ("value", "moment1", "moment2"):
+                assert getattr(p, slot).tobytes() == getattr(q, slot).tobytes(), (name, slot)
+
+
+# trains both models at TINY and at the acceptance toy width, whose 32-row
+# dense products are large enough for OpenBLAS to split across threads
+_PIN_SCRIPT = f"""
+import sys
+from gridsynth import toydata, trainer
+from gridsynth.nets import ArchConfig
+for tag, arch, n_days, batch in (
+    ("tiny", {TINY!r}, 12, 6),
+    ("toy", ArchConfig(latent_dim=16, channels=16), 64, 32),
+):
+    data = toydata.sinusoid_day_matrix(n_days, seed=3)
+    cfg = trainer.TrainConfig(epochs=2, batch_size=batch, seed=1)
+    for train_fn in (trainer.train_vaegan, trainer.train_gan):
+        train_fn(data, cfg, arch=arch, checkpoint_dir=f"{{sys.argv[1]}}/{{tag}}-{{train_fn.__name__}}")
+"""
+
+
+def test_blas_thread_count_does_not_change_checkpoints(tmp_path):
+    src = str(Path(trainer.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    runs = {"threads1": {**env, "OPENBLAS_NUM_THREADS": "1"}, "default": env}
+    for tag, run_env in runs.items():
+        subprocess.run([sys.executable, "-c", _PIN_SCRIPT, str(tmp_path / tag)],
+                       env=run_env, check=True, timeout=300)
+    ckpts = sorted(p.relative_to(tmp_path / "default")
+                   for p in (tmp_path / "default").rglob("checkpoint.npz"))
+    assert len(ckpts) == 4
+    for rel in ckpts:
+        assert (tmp_path / "threads1" / rel).read_bytes() == (tmp_path / "default" / rel).read_bytes(), rel
 
 
 class TestDiscriminatorSteps:
