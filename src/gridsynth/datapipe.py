@@ -306,12 +306,16 @@ _MATRIX_HEADER = [f"t{i:02d}" for i in range(SLOTS_PER_DAY)]
 def write_matrix(csv_path, values, meta: dict) -> None:
     """Write one day per row under a t00..t95 header, plus a `key = value`
     sidecar with meta's items in order. Day matrices and synthetic batches
-    share this format."""
+    share this format. Both files are replaced only once both are written."""
     lines = [",".join(_MATRIX_HEADER)]
     lines.extend(",".join(repr(float(v)) for v in row) for row in values)
-    Path(csv_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     sidecar = "".join(f"{key} = {val}\n" for key, val in meta.items())
-    Path(str(csv_path) + _META_SUFFIX).write_text(sidecar, encoding="utf-8")
+    with (
+        replaced_on_success(csv_path) as csv_tmp,
+        replaced_on_success(str(csv_path) + _META_SUFFIX) as meta_tmp,
+    ):
+        csv_tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        meta_tmp.write_text(sidecar, encoding="utf-8")
 
 
 def read_matrix(csv_path) -> tuple[np.ndarray, dict[str, str]]:

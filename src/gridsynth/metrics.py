@@ -66,12 +66,20 @@ def kl_divergence(x, y, bins: int = DEFAULT_BINS, eps: float = SMOOTHING_EPS) ->
 
 def median_heuristic_sigma(x, y) -> float:
     """Median pairwise Euclidean distance of the pooled sample (\"median
-    heuristic\" bandwidth); falls back to 1.0 when every point coincides."""
+    heuristic\" bandwidth); falls back to 1.0 when every point coincides.
+
+    Vectors go through their condensed distance vector, built in row
+    blocks; scalars through an exact order statistic of sorted gaps, in
+    O(N) memory. Both equal np.median over the full distance matrix's upper
+    triangle bit for bit.
+    """
     pooled = np.vstack([_as_2d(x), _as_2d(y)])
-    diff = pooled[:, None, :] - pooled[None, :, :]
-    d = np.sqrt((diff**2).sum(axis=2))
-    iu = np.triu_indices(len(pooled), k=1)
-    med = float(np.median(d[iu])) if iu[0].size else 0.0
+    if len(pooled) < 2:
+        return 1.0
+    if pooled.shape[1] == 1:
+        med = _median_gap(np.sort(pooled[:, 0]))
+    else:
+        med = float(np.median(np.sqrt(np.concatenate(list(_upper_sq_dists(pooled))))))
     return med if med > 0 else 1.0
 
 
@@ -81,7 +89,72 @@ def _as_2d(x) -> np.ndarray:
         x = x[:, None]
     if x.ndim != 2:
         raise DataError(f"samples must be 1-D scalars or 2-D vectors, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DataError("samples must be finite")
     return x
+
+
+# Each row block of pairwise squared distances holds about this many float64
+# values, which bounds the temporaries at a few times 16 MB for any N.
+_BLOCK_VALUES = 1 << 21
+
+
+def _sq_dist_blocks(a, b, upper=False):
+    """Yield d2 for consecutive row blocks a[lo:lo + r]: d2[k, j] is the
+    squared Euclidean distance between a[lo + k] and b[j], or, with
+    upper=True (b is a), b[lo + 1 + j], so that row k's pairs above the
+    diagonal are d2[k, k:]."""
+    rows = max(1, _BLOCK_VALUES // max(1, b.shape[0] * b.shape[1]))
+    for lo in range(0, a.shape[0], rows):
+        cols = b[lo + 1 :] if upper else b
+        yield ((a[lo : lo + rows, None, :] - cols[None, :, :]) ** 2).sum(axis=2)
+
+
+def _upper_sq_dists(p):
+    """Yield the squared distances of the pairs i < j of p's rows, in the
+    row-major order of np.triu_indices(len(p), 1), one row block at a time."""
+    for d2 in _sq_dist_blocks(p, p, upper=True):
+        yield d2[np.arange(d2.shape[1]) >= np.arange(d2.shape[0])[:, None]]
+
+
+def _median_gap(xs) -> float:
+    """Median of sqrt(fl(d**2)), d = xs[j] - xs[i] over the pairs i < j of
+    the sorted scalars xs, as np.median of those values would give it.
+
+    Each order statistic is the smallest t with more than k gaps <= t, found
+    by bisection over the bit patterns of nonnegative float64 values, which
+    sort like the int64 values they spell.
+    """
+    pairs = xs.size * (xs.size - 1) // 2
+    widest = int((xs[-1] - xs[0]).view(np.int64))
+    lo, stats = 0, []
+    for k in sorted({(pairs - 1) // 2, pairs // 2}):
+        top = widest
+        while lo < top:
+            mid = (lo + top) // 2
+            if _gaps_at_most(xs, np.int64(mid).view(np.float64)) > k:
+                top = mid
+            else:
+                lo = mid + 1
+        gap = np.int64(lo).view(np.float64)
+        stats.append(np.sqrt(gap * gap))
+    return float(np.median(stats))
+
+
+def _gaps_at_most(xs, t) -> int:
+    """Number of pairs i < j of the sorted scalars xs with fl(xs[j] - xs[i]) <= t."""
+    i = np.arange(xs.size)
+    # first j whose gap from xs[i] exceeds t: searchsorted on the rounded sum
+    # xs[i] + t, then corrected against the exact gaps, a run of ties at a time
+    end = np.maximum(np.searchsorted(xs, xs + t, "right"), i + 1)
+    over = i
+    while (over := over[xs[end[over] - 1] - xs[over] > t]).size:
+        end[over] = np.searchsorted(xs, xs[end[over] - 1], "left")
+    under = i[end < xs.size]
+    while (under := under[xs[end[under]] - xs[under] <= t]).size:
+        end[under] = np.searchsorted(xs, xs[end[under]], "right")
+        under = under[end[under] < xs.size]
+    return int((end - i - 1).sum())
 
 
 def mmd_rbf(x, y, sigma: float) -> float:
@@ -99,8 +172,10 @@ def mmd_rbf(x, y, sigma: float) -> float:
         raise DataError(f"sample dimensions differ: {xs.shape[1]} vs {ys.shape[1]}")
 
     def kernel_mean(a, b):
-        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        return float(np.exp(-d2 / (2.0 * sigma**2)).mean())
+        total = 0.0
+        for d2 in _sq_dist_blocks(a, b):
+            total += np.exp(-d2 / (2.0 * sigma**2)).sum()
+        return float(total / (a.shape[0] * b.shape[0]))
 
     mmd2 = kernel_mean(xs, xs) - 2.0 * kernel_mean(xs, ys) + kernel_mean(ys, ys)
     return float(np.sqrt(max(0.0, mmd2)))
@@ -152,12 +227,21 @@ def load_shape(day, alpha_high: float = 0.9, alpha_low: float = 0.1) -> DayShape
     A flat day (peak == base) has all durations 0 by convention.
     """
     day = np.asarray(day, dtype=np.float64).ravel()
-    if day.size == 0 or not np.all(np.isfinite(day)):
+    _check_days(day, alpha_high, alpha_low)
+    peak = float(np.percentile(day, PERCENTILE_HIGH))
+    base = float(np.percentile(day, PERCENTILE_LOW))
+    return _day_shape(day, peak, base, alpha_high, alpha_low)
+
+
+def _check_days(days, alpha_high: float, alpha_low: float) -> None:
+    if days.shape[-1] == 0 or not np.all(np.isfinite(days)):
         raise DataError("day profile must be non-empty and finite")
     if not 0.0 < alpha_low < alpha_high <= 1.0:
         raise DataError(f"need 0 < alpha_low < alpha_high <= 1, got {alpha_low}, {alpha_high}")
-    peak = float(np.percentile(day, PERCENTILE_HIGH))
-    base = float(np.percentile(day, PERCENTILE_LOW))
+
+
+def _day_shape(day, peak: float, base: float, alpha_high: float, alpha_low: float) -> DayShape:
+    """load_shape of a checked day whose peak and base are already known."""
     if peak == base:
         return DayShape(base, peak, 0.0, 0.0, 0.0)
     th_high = base + alpha_high * (peak - base)
@@ -184,7 +268,12 @@ def aggregate_stats(days, alpha_high: float = 0.9, alpha_low: float = 0.1) -> di
     days = np.asarray(days, dtype=np.float64)
     if days.ndim != 2 or days.shape[0] == 0:
         raise DataError("need a non-empty N x T day matrix")
-    tuples = np.array([load_shape(row, alpha_high, alpha_low).as_tuple() for row in days])
+    _check_days(days, alpha_high, alpha_low)
+    peaks, bases = np.percentile(days, [PERCENTILE_HIGH, PERCENTILE_LOW], axis=1)
+    tuples = np.array([
+        _day_shape(day, float(peak), float(base), alpha_high, alpha_low).as_tuple()
+        for day, peak, base in zip(days, peaks, bases)
+    ])
     return {
         name: {"mean": float(tuples[:, i].mean()), "std": float(tuples[:, i].std())}
         for i, name in enumerate(STAT_NAMES)
@@ -333,4 +422,5 @@ def dump_histograms(real_pooled, synth_pooled, path, bins: int = DEFAULT_BINS) -
     for i in range(len(p)):
         cells = (edges[i], edges[i + 1], p[i], q[i])
         lines.append(",".join(repr(float(c)) for c in cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replaced_on_success(path) as tmp:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -8,6 +8,7 @@ import numpy as np
 from . import nets
 from .datapipe import denormalize_values, read_matrix, write_matrix
 from .errors import DataError
+from .metrics import _upper_sq_dists
 
 
 @dataclass
@@ -53,9 +54,7 @@ def is_mode_collapsed(profiles, tol: float = 1e-6) -> bool:
     p = np.asarray(profiles, dtype=np.float64)
     if p.shape[0] < 2:
         return False
-    sq = ((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=2)
-    iu = np.triu_indices(p.shape[0], k=1)
-    return bool(np.all(np.sqrt(sq[iu]) < tol))
+    return all(np.all(np.sqrt(sq) < tol) for sq in _upper_sq_dists(p))
 
 
 def export(batch: SynthBatch, csv_path) -> None:

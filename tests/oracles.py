@@ -57,6 +57,43 @@ def mmd_oracle(x, y, sigma):
     return math.sqrt(max(0.0, xx - 2.0 * xy + yy))
 
 
+def _rows(samples):
+    arr = np.asarray(samples, dtype=float)
+    return arr[:, None] if arr.ndim == 1 else arr
+
+
+def median_sigma_tensor(x, y):
+    """Median heuristic through the full (N, N, D) difference tensor and
+    np.median over its upper triangle; 1.0 when every point coincides."""
+    pooled = np.vstack([_rows(x), _rows(y)])
+    diff = pooled[:, None, :] - pooled[None, :, :]
+    d = np.sqrt((diff**2).sum(axis=2))
+    iu = np.triu_indices(len(pooled), k=1)
+    med = float(np.median(d[iu])) if iu[0].size else 0.0
+    return med if med > 0 else 1.0
+
+
+def mmd_rbf_tensor(x, y, sigma):
+    """Biased RBF MMD with each kernel mean over one full (N, M, D) tensor."""
+    xs, ys = _rows(x), _rows(y)
+
+    def kernel_mean(a, b):
+        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        return float(np.exp(-d2 / (2.0 * sigma**2)).mean())
+
+    mmd2 = kernel_mean(xs, xs) - 2.0 * kernel_mean(xs, ys) + kernel_mean(ys, ys)
+    return float(np.sqrt(max(0.0, mmd2)))
+
+
+def mode_collapsed_tensor(profiles, tol=1e-6):
+    """All pairwise L2 distances below tol, over the full (N, N, 96) tensor."""
+    p = np.asarray(profiles, dtype=float)
+    if p.shape[0] < 2:
+        return False
+    sq = ((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=2)
+    return bool(np.all(np.sqrt(sq[np.triu_indices(p.shape[0], k=1)]) < tol))
+
+
 def wasserstein_matching_oracle(x, y):
     """Min over all bijective matchings of mean |x_i - y_pi(i)| (equal sizes)."""
     x = list(np.asarray(x, dtype=float).ravel())

@@ -250,6 +250,39 @@ class TestDayMatrixIO:
         with pytest.raises(DataError):
             dp.load_day_matrix(path)
 
+    @pytest.mark.parametrize("failing_write", [0, 1])
+    def test_failed_write_keeps_previous_files(self, tmp_path, monkeypatch, failing_write):
+        from pathlib import Path
+
+        path = tmp_path / "m.csv"
+        dp.save_day_matrix(dp.normalize(dp.DayMatrix(np.arange(192.0).reshape(2, 96))), path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["m.csv", "m.csv.meta"]
+        write_text = Path.write_text
+        writes = []
+
+        def fail_on_chosen_write(self, text, **kwargs):
+            writes.append(self)
+            if len(writes) - 1 == failing_write:
+                write_text(self, text[: len(text) // 2], **kwargs)
+                raise OSError("disk full")
+            return write_text(self, text, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", fail_on_chosen_write)
+        with pytest.raises(OSError, match="disk full"):
+            dp.save_day_matrix(dp.normalize(dp.DayMatrix(np.arange(288.0).reshape(3, 96))), path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_rewrite_gives_same_bytes(self, tmp_path, rng):
+        matrix = dp.normalize(dp.DayMatrix(rng.uniform(0, 800, size=(3, 96)), dates=["a", "b", "c"]))
+        dp.save_day_matrix(matrix, tmp_path / "m.csv")
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        dp.save_day_matrix(matrix, tmp_path / "m.csv")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+        lines = first["m.csv"].decode().splitlines()
+        assert lines[1] == ",".join(repr(float(v)) for v in matrix.values[0])
+        assert first["m.csv.meta"].decode().startswith("schema = gridsynth.daymatrix/1\n")
+
     def test_malformed_sidecar_is_data_error(self, tmp_path):
         path = tmp_path / "m.csv"
         dp.save_day_matrix(dp.normalize(dp.DayMatrix(np.arange(192.0).reshape(2, 96))), path)

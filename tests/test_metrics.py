@@ -1,5 +1,6 @@
 """Distance metrics vs independent oracles, plus load-shape statistics."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from oracles import (
     kl_oracle,
     load_shape_oracle,
     mean_std_oracle,
+    median_sigma_tensor,
     mmd_oracle,
+    mmd_rbf_tensor,
     spike_day,
     trapezoid_day,
     wasserstein_matching_oracle,
@@ -108,6 +111,116 @@ class TestMmd:
         # degenerate pooled sample falls back to 1.0
         z = np.zeros((3, 2))
         assert M.median_heuristic_sigma(z, z) == 1.0
+
+    @pytest.mark.parametrize("block_values", [None, 50])
+    def test_matches_tensor_form(self, block_values, monkeypatch):
+        if block_values:
+            monkeypatch.setattr(M, "_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(203)
+        for i in range(80):
+            n, m = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+            d = (1, 3, 96)[i % 3]
+            x = rng.normal(size=(n, d)) * 100
+            y = rng.normal(size=(m, d)) * 100 + 30
+            sigma = M.median_heuristic_sigma(x, y)
+            want = mmd_rbf_tensor(x, y, sigma)
+            assert abs(M.mmd_rbf(x, y, sigma) - want) <= 1e-12 * want
+
+    def test_many_blocks_match_tensor_form(self, rng):
+        x = rng.uniform(0, 900, size=300)
+        y = rng.uniform(0, 1000, size=200)
+        sigma = M.median_heuristic_sigma(x, y)
+        want = mmd_rbf_tensor(x, y, sigma)
+        assert abs(M.mmd_rbf(x, y, sigma) - want) <= 1e-12 * want
+        x = rng.uniform(0, 900, size=(300, 96))
+        y = rng.uniform(0, 1000, size=(200, 96))
+        sigma = M.median_heuristic_sigma(x, y)
+        want = mmd_rbf_tensor(x, y, sigma)
+        assert abs(M.mmd_rbf(x, y, sigma) - want) <= 1e-12 * want
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(DataError, match="finite"):
+            M.mmd_rbf([0.0, math.nan], [1.0], 1.0)
+
+
+def heuristic_samples(rng, kind, n):
+    """Scalar samples of one of seven kinds that stress an exact median."""
+    if kind == "uniform":
+        return rng.uniform(0, 5000, n)
+    if kind == "duplicates":
+        return rng.integers(0, 5, n).astype(float)
+    if kind == "zeros":
+        return np.where(rng.uniform(size=n) < 0.7, 0.0, rng.normal(0, 3, n))
+    if kind == "ulp":
+        return 1e3 + rng.integers(0, 20, n) * np.spacing(1e3)
+    if kind == "wide":
+        return rng.lognormal(0, 6, n) * rng.choice([-1.0, 1.0], n)
+    if kind == "rounded":
+        return np.round(rng.normal(100, 30, n), 1)
+    return np.full(n, 3.25)
+
+
+HEURISTIC_KINDS = ("uniform", "duplicates", "zeros", "ulp", "wide", "rounded", "constant")
+
+
+def same_bits(a: float, b: float) -> bool:
+    return float(a).hex() == float(b).hex()
+
+
+class TestMedianHeuristic:
+    @pytest.mark.parametrize("kind", HEURISTIC_KINDS)
+    def test_scalars_bit_identical_to_tensor_form(self, kind):
+        rng = np.random.default_rng(HEURISTIC_KINDS.index(kind))
+        for _ in range(150):
+            n, m = int(rng.integers(0, 40)), int(rng.integers(1, 40))
+            x, y = heuristic_samples(rng, kind, n), heuristic_samples(rng, kind, m)
+            assert same_bits(M.median_heuristic_sigma(x, y), median_sigma_tensor(x, y))
+
+    @pytest.mark.parametrize("kind", ["uniform", "duplicates", "ulp", "rounded"])
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_large_scalar_sample_bit_identical(self, kind, n):
+        # n + 1000 points: an even and an odd number of pairs
+        rng = np.random.default_rng(n)
+        x, y = heuristic_samples(rng, kind, n), heuristic_samples(rng, kind, 1000)
+        assert same_bits(M.median_heuristic_sigma(x, y), median_sigma_tensor(x, y))
+
+    @pytest.mark.parametrize("block_values", [None, 50])
+    @pytest.mark.parametrize("kind", HEURISTIC_KINDS)
+    def test_vectors_bit_identical_to_tensor_form(self, kind, block_values, monkeypatch):
+        if block_values:
+            monkeypatch.setattr(M, "_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(100 + HEURISTIC_KINDS.index(kind))
+        for _ in range(20):
+            d = int(rng.choice([2, 5, 96]))
+            n, m = int(rng.integers(0, 30)), int(rng.integers(1, 30))
+            x = heuristic_samples(rng, kind, n * d).reshape(n, d)
+            y = heuristic_samples(rng, kind, m * d).reshape(m, d)
+            assert same_bits(M.median_heuristic_sigma(x, y), median_sigma_tensor(x, y))
+
+    def test_several_default_blocks_bit_identical(self, rng):
+        real = rng.uniform(0, 3000, size=(200, 96))
+        synt = np.round(rng.uniform(0, 3000, size=(150, 96)), 2)
+        assert same_bits(M.median_heuristic_sigma(real, synt), median_sigma_tensor(real, synt))
+
+    @pytest.mark.parametrize("shape", [(700,), (120, 7)])
+    def test_matches_pdist(self, rng, shape):
+        from scipy.spatial.distance import pdist
+
+        x = rng.normal(size=shape) * 200
+        y = rng.normal(size=shape) * 150 + 40
+        want = float(np.median(pdist(np.vstack([M._as_2d(x), M._as_2d(y)]))))
+        assert M.median_heuristic_sigma(x, y) == pytest.approx(want, rel=1e-12)
+
+    def test_fewer_than_two_points_fall_back(self):
+        assert M.median_heuristic_sigma([], [4.0]) == 1.0
+        assert M.median_heuristic_sigma(np.zeros((0, 96)), np.ones((1, 96))) == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            M.median_heuristic_sigma([0.0, bad], [1.0])
+        with pytest.raises(DataError, match="finite"):
+            M.median_heuristic_sigma([[0.0, bad]], [[1.0, 2.0]])
 
 
 class TestWasserstein:
@@ -245,6 +358,31 @@ class TestAggregateStats:
         with pytest.raises(DataError):
             M.aggregate_stats(np.zeros((0, 96)))
 
+    @pytest.mark.parametrize("days", [np.zeros((3, 0)), np.array([[1.0, math.nan]])])
+    def test_empty_or_non_finite_day_rejected(self, days):
+        with pytest.raises(DataError, match="non-empty and finite"):
+            M.aggregate_stats(days)
+
+    def test_alpha_validation(self):
+        with pytest.raises(DataError, match="alpha_low"):
+            M.aggregate_stats(np.ones((2, 96)), alpha_high=0.1, alpha_low=0.9)
+
+    @pytest.mark.parametrize("kind", ["uniform", "rounded", "zeros"])
+    def test_bit_identical_to_per_day_load_shape(self, kind):
+        rng = np.random.default_rng(len(kind))
+        for _ in range(30):
+            days = rng.uniform(0, 900, size=(int(rng.integers(1, 40)), 96))
+            if kind == "rounded":
+                days = np.round(days, -2)
+            elif kind == "zeros":
+                days[rng.uniform(size=days.shape) < 0.8] = 0.0
+            tuples = np.array([M.load_shape(day).as_tuple() for day in days])
+            want = {
+                name: {"mean": float(tuples[:, i].mean()), "std": float(tuples[:, i].std())}
+                for i, name in enumerate(M.STAT_NAMES)
+            }
+            assert M.aggregate_stats(days) == want
+
 
 class TestFullReport:
     def test_self_comparison(self, rng):
@@ -298,6 +436,20 @@ class TestFullReport:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
+    @pytest.mark.parametrize("mmd_on", ["days", "pooled"])
+    def test_peak_memory_bounded(self, rng, mmd_on):
+        # one year of real days against the default 512 synthetic ones; pooled
+        # mode scores the 4096 + 4096 sample cap
+        real = rng.uniform(0, 3000, size=(365, 96))
+        synt = rng.uniform(0, 3000, size=(512, 96))
+        tracemalloc.start()
+        try:
+            M.full_report(real, synt, M.MetricsConfig(mmd_on=mmd_on))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_fixed_sigma_and_pooled_mode(self, rng):
         real = rng.uniform(0, 500, size=(5, 96))
         synt = rng.uniform(0, 500, size=(5, 96))
@@ -316,3 +468,21 @@ class TestFullReport:
         masses = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
         assert masses[:, 2].sum() == pytest.approx(1.0, abs=1e-9)
         assert masses[:, 3].sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_failed_histogram_write_keeps_previous_file(self, tmp_path, rng, monkeypatch):
+        from pathlib import Path
+
+        path = tmp_path / "h.csv"
+        M.dump_histograms(rng.uniform(0, 100, size=50), rng.uniform(0, 100, size=40), path, bins=5)
+        before = path.read_bytes()
+        write_text = Path.write_text
+
+        def write_half_then_fail(self, text, **kwargs):
+            write_text(self, text[: len(text) // 2], **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            M.dump_histograms(rng.uniform(0, 9, size=50), rng.uniform(0, 9, size=40), path, bins=5)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["h.csv"]

@@ -5,6 +5,7 @@ import pytest
 from gridsynth import nets, synth
 from gridsynth.errors import DataError
 
+from oracles import mode_collapsed_tensor
 from test_datapipe import MATRIX_CORRUPTIONS, corrupt_matrix_csv
 
 TINY = nets.ArchConfig(seq_len=96, latent_dim=4, channels=3, kernel_size=3, dilations=(1, 2))
@@ -81,6 +82,37 @@ class TestModeCollapseProbe:
     def test_untrained_constant_output_is_collapsed(self, untrained):
         batch = synth.sample(untrained, 5, seed=1, norm_meta=NORM)
         assert synth.is_mode_collapsed(batch.profiles)
+
+    def test_600_day_batch(self, rng):
+        same = np.tile(rng.uniform(0, 1, 96), (600, 1))
+        assert synth.is_mode_collapsed(same)
+        assert synth.is_mode_collapsed(same + rng.uniform(0, 1e-8, same.shape))
+        assert not synth.is_mode_collapsed(same, tol=0.0)
+        assert not synth.is_mode_collapsed(same, tol=-1.0)
+        last_differs = same.copy()
+        last_differs[-1, 50] += 1e-6
+        assert not synth.is_mode_collapsed(last_differs)
+        assert synth.is_mode_collapsed(last_differs, tol=1.1e-6)
+        assert not synth.is_mode_collapsed(rng.uniform(0, 1, (600, 96)))
+
+    def test_fewer_than_two_profiles_never_collapsed(self):
+        assert not synth.is_mode_collapsed(np.zeros((1, 96)))
+        assert not synth.is_mode_collapsed(np.zeros((0, 96)))
+        assert not synth.is_mode_collapsed(np.zeros((1, 96)), tol=0.0)
+
+    @pytest.mark.parametrize("block_values", [None, 200])
+    def test_matches_tensor_form(self, rng, block_values, monkeypatch):
+        from gridsynth import metrics
+
+        if block_values:
+            monkeypatch.setattr(metrics, "_BLOCK_VALUES", block_values)
+        for n in (2, 3, 17, 40):
+            base = np.tile(rng.uniform(0, 1, 96), (n, 1))
+            for jitter in (0.0, 1e-9, 1e-7, 1e-3):
+                profiles = base + rng.uniform(0, jitter, base.shape)
+                for tol in (-1.0, 0.0, 1e-8, 1e-6, 1e-2):
+                    want = mode_collapsed_tensor(profiles, tol)
+                    assert synth.is_mode_collapsed(profiles, tol) is want
 
 
 class TestExport:
