@@ -7,12 +7,19 @@ exist; there is no broadcasting and no dynamic shape polymorphism beyond
 the batch dimension.
 
 Gradient convention: backward(root) requires a scalar root, overwrites the
-grad of every node reachable from the root, and accumulates additively when
-a node (typically a Param) feeds several branches of the same graph.
-backward(root, wrt=params) visits only the nodes on a path from the root to
-one of those Params and overwrites only their grads; the grads of off-path
-nodes, and of Params outside wrt, are left stale from earlier sweeps. The
+grad of every leaf (Param, Input, Constant) reachable from the root, and
+accumulates additively when a node (typically a Param) feeds several
+branches of the same graph. Op nodes hold a grad only while the sweep
+needs it: it is dropped (set to None) as soon as the op has passed it on,
+so between sweeps only leaves keep gradients. backward(root, wrt=params)
+visits only the nodes on a path from the root to one of those Params and
+overwrites only the grads of the leaves among them; the grads of off-path
+leaves, and of Params outside wrt, are left stale from earlier sweeps. The
 wanted Params get bit-identical grads either way.
+
+Graphs hold no reference cycles: the caches a root keeps (its topological
+order and its backward plans) leave the root itself out, so a graph that
+goes out of scope is freed at once, without waiting for the cyclic GC.
 """
 from __future__ import annotations
 
@@ -435,26 +442,29 @@ OP_KINDS = {
 
 
 def topo_order(root: Node) -> list[Node]:
-    """Deterministic post-order of the DAG reachable from root (cached)."""
-    if root._topo is not None:
-        return root._topo
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for inp in reversed(node.inputs):
-            if id(inp) not in seen:
-                stack.append((inp, False))
-    root._topo = order
-    return order
+    """Deterministic post-order of the DAG reachable from root, root last.
+
+    The order below the root is cached on it; the root is appended per call,
+    so the cache holds no reference back to its owner.
+    """
+    if root._topo is None:
+        order: list[Node] = []
+        seen: set[int] = {id(root)}
+        stack: list[tuple[Node, bool]] = [(inp, False) for inp in reversed(root.inputs)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            for inp in reversed(node.inputs):
+                if id(inp) not in seen:
+                    stack.append((inp, False))
+        root._topo = order
+    return root._topo + [root]
 
 
 def _resolve_bindings(order: list[Node], bindings: dict | None) -> dict[Input, np.ndarray]:
@@ -499,14 +509,17 @@ def forward(root: Node, bindings: dict | None = None) -> np.ndarray:
     return root.value
 
 
-def _backward_plan(root: Node, wrt) -> tuple[list[Node], list[tuple[Node, tuple]]]:
-    """(nodes whose grad the sweep fills, [(op node, per-input needs)] in
-    reversed topo order) for one root and wrt set, cached on the root.
+def _backward_plan(root: Node, wrt) -> tuple[list[Node], list[tuple[Node | None, tuple]]]:
+    """(nodes below the root that the sweep visits, [(op node, per-input
+    needs)] in reversed topo order) for one root and wrt set, cached on the
+    root.
 
     A node is on the plan when it is a wrt Param or one of its inputs is on
     the plan, i.e. when some path leads from it to a wanted Param; wrt=None
     plans every node reachable from the root. Each input's grad then gets
-    the same terms in the same order as in the full sweep.
+    the same terms in the same order as in the full sweep. The root's own
+    step, when it has one, comes first with None in place of the root, so
+    the cache holds no reference back to the root.
     """
     key = None if wrt is None else frozenset(wrt)
     plan = root._plans.get(key)
@@ -519,10 +532,10 @@ def _backward_plan(root: Node, wrt) -> tuple[list[Node], list[tuple[Node, tuple]
             for node in order:
                 if node in key or any(inp in on_path for inp in node.inputs):
                     on_path.add(node)
-        fill = [node for node in order if node in on_path]
+        fill = [node for node in order[:-1] if node in on_path]
         steps = [
-            (node, tuple(inp in on_path for inp in node.inputs))
-            for node in reversed(fill) if node.inputs
+            (None if node is root else node, tuple(inp in on_path for inp in node.inputs))
+            for node in reversed(order) if node in on_path and node.inputs
         ]
         plan = root._plans[key] = (fill, steps)
     return plan
@@ -531,9 +544,16 @@ def _backward_plan(root: Node, wrt) -> tuple[list[Node], list[tuple[Node, tuple]
 def backward(root: Node, wrt=None) -> None:
     """Reverse-mode sweep from a scalar root.
 
-    With wrt=None, fills grad on every ancestor. With an iterable of Params,
-    visits only the nodes on a path from root to one of them and computes
-    only the input gradients those nodes need.
+    With wrt=None, fills grad on every leaf below the root. With an iterable
+    of Params, visits only the nodes on a path from root to one of them and
+    computes only the input gradients those nodes need.
+
+    A node's first incoming term is copied with np.add(g, 0.0): that equals
+    g bit for bit, signed zeros included, and never aliases g, which Add and
+    Reparameterize hand to several inputs at once. Later terms are added in
+    place. Each op node's grad is dropped once its op has used it. Every
+    planned node below the root has a planned consumer that needs it, so
+    every planned leaf ends the sweep with a grad.
     """
     if root.value is None:
         raise GraphError("backward called before forward")
@@ -543,13 +563,19 @@ def backward(root: Node, wrt=None) -> None:
     for node in fill:
         if node.value is None:
             raise GraphError(f"{node._label()}: no cached value; run forward first")
-        node.grad = np.zeros_like(node.value)
+        node.grad = None
     root.grad = np.ones_like(root.value)
     for node, needs in steps:
+        if node is None:
+            node = root
         grads = node._backward(node.grad, needs, *(inp.value for inp in node.inputs))
+        node.grad = None
         for inp, need, g in zip(node.inputs, needs, grads):
             if need:
-                inp.grad += g
+                if inp.grad is None:
+                    inp.grad = np.add(g, 0.0)
+                else:
+                    inp.grad += g
 
 
 def grad_check(root: Node, param: Param, step: float = 1e-5) -> float:

@@ -113,15 +113,17 @@ def load_csv(
 ) -> TimeSeries:
     """Parse a RAPT-style CSV into a TimeSeries sorted by timestamp.
 
-    Rows may arrive out of order; duplicates are rejected. Parse failures
-    report the 1-based line number of the offending row.
+    Rows may arrive out of order; duplicates are rejected. Every non-blank
+    row must have exactly as many fields as the header. Parse failures
+    report the 1-based line number of the offending row; a file that is not
+    UTF-8 text raises DataError too.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     stamps: list[int] = []
     vals: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -136,7 +138,7 @@ def load_csv(
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) <= max(t_idx, v_idx):
+            if len(row) != len(header):
                 raise DataError(f"line {line_no}: expected {len(header)} columns, got {len(row)}")
             stamps.append(_parse_timestamp(row[t_idx], line_no))
             try:
@@ -322,13 +324,13 @@ def read_matrix(csv_path) -> tuple[np.ndarray, dict[str, str]]:
     """Read a write_matrix file back as (N x 96 array, sidecar dict).
 
     A wrong header, a ragged row, a non-numeric or non-finite cell, no data
-    rows or a missing sidecar raise DataError.
+    rows, text that is not UTF-8 or a missing sidecar raise DataError.
     """
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise DataError(f"matrix file not found: {csv_path}")
     rows = []
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    with _utf8_text(csv_path) as fh:
         reader = csv.reader(fh)
         if next(reader, None) != _MATRIX_HEADER:
             raise DataError(f"{csv_path}: expected header t00..t95")
@@ -401,13 +403,26 @@ def replaced_on_success(path):
         raise
 
 
+@contextmanager
+def _utf8_text(path):
+    """Open path as UTF-8 text for reading (csv-module newline handling); a
+    decoding failure anywhere inside the block becomes a DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
 def read_kv_file(path) -> dict[str, str]:
     """Parse a flat `key = value` text file, ignoring blanks and # comments."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"metadata file not found: {path}")
     out: dict[str, str] = {}
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    with _utf8_text(path) as fh:
+        text = fh.read()
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

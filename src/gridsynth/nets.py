@@ -327,7 +327,35 @@ def build_gan_graph(model: GanModel) -> GanGraph:
 
 
 # ---------------------------------------------------------------------------
-# inference wrappers (fresh small graphs over the shared Params)
+# inference wrappers: one small graph per call over the shared Params, fed in
+# fixed-size row chunks so that memory does not grow with the batch
+
+#: Rows per inference forward. It is fixed rather than derived from the
+#: batch: the dense GEMMs round differently at small row counts (one row
+#: takes the GEMV path), so a short last chunk is padded to full size.
+_INFER_CHUNK = 64
+
+
+def _infer(rows: np.ndarray, build) -> list[np.ndarray]:
+    """Forward rows (B, ...) through build(Input) -> (root, outputs) in
+    chunks of _INFER_CHUNK rows; returns each output's (B, ...) values.
+
+    The graph is built once and holds one chunk's activations at a time.
+    Rows do not interact, so the zero rows that pad the last chunk are just
+    dropped from the outputs.
+    """
+    xin = ad.Input("x")
+    root, outputs = build(xin)
+    parts = [[] for _ in outputs]
+    for start in range(0, len(rows), _INFER_CHUNK):
+        chunk = rows[start : start + _INFER_CHUNK]
+        kept = len(chunk)
+        if kept < _INFER_CHUNK:
+            chunk = np.concatenate([chunk, np.zeros((_INFER_CHUNK - kept,) + chunk.shape[1:])])
+        ad.forward(root, {xin: chunk})
+        for part, out in zip(parts, outputs):
+            part.append(out.value[:kept])  # every forward makes new value arrays
+    return [np.concatenate(part) for part in parts]
 
 
 def _as_batch_3d(x, seq_len: int) -> np.ndarray:
@@ -343,12 +371,13 @@ def _as_batch_3d(x, seq_len: int) -> np.ndarray:
 
 def encode(model, x) -> tuple[np.ndarray, np.ndarray]:
     """Run the encoder on (B, T) profiles; returns (mean, logvar) arrays."""
-    xb = _as_batch_3d(x, model.arch.seq_len)
-    xin = ad.Input("x")
-    mean, logvar = model.encoder.build(xin)
-    root = ad.Add(ad.Sum(mean), ad.Sum(logvar))  # single forward for both heads
-    ad.forward(root, {xin: xb})
-    return mean.value.copy(), logvar.value.copy()
+
+    def build(xin):
+        mean, logvar = model.encoder.build(xin)
+        return ad.Add(ad.Sum(mean), ad.Sum(logvar)), (mean, logvar)  # one forward, both heads
+
+    mean, logvar = _infer(_as_batch_3d(x, model.arch.seq_len), build)
+    return mean, logvar
 
 
 def generate(model, z) -> np.ndarray:
@@ -356,25 +385,24 @@ def generate(model, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 1:
         z = z[None, :]
-    zin = ad.Input("z")
-    out = model.generator.build(zin)
-    ad.forward(out, {zin: z})
-    return out.value[:, 0, :].copy()
+
+    def build(zin):
+        out = model.generator.build(zin)
+        return out, (out,)
+
+    (out,) = _infer(z, build)
+    return out[:, 0, :]
 
 
 def discriminate(model, x) -> np.ndarray:
     """Probability that each (B, T) profile is real."""
-    xb = _as_batch_3d(x, model.arch.seq_len)
-    xin = ad.Input("x")
-    logit = model.discriminator.build(xin)
-    ad.forward(logit, {xin: xb})
-    return ad.sigmoid(logit.value[:, 0]).copy()
 
+    def build(xin):
+        logit = model.discriminator.build(xin)
+        return logit, (logit,)
 
-def discriminate_noise(model, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-    """D's probabilities on i.i.d. standard-normal sequences (seeded rng)."""
-    noise = rng.standard_normal((batch_size, model.arch.seq_len))
-    return discriminate(model, noise)
+    (logit,) = _infer(_as_batch_3d(x, model.arch.seq_len), build)
+    return ad.sigmoid(logit[:, 0])
 
 
 # ---------------------------------------------------------------------------

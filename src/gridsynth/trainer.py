@@ -1,9 +1,10 @@
 """Alternating optimization of the VAE-GAN and the vanilla-GAN baseline.
 
-Training is single-threaded and fully deterministic for a given seed: model
-init, epoch shuffles and every latent/noise draw come from one Generator
-stream, so two runs with equal config produce bit-identical checkpoints and
-a resumed run reproduces the interrupted run's log suffix exactly.
+Training is fully deterministic for a given seed: model init, epoch shuffles
+and every latent/noise draw come from one Generator stream, so two runs with
+equal config produce bit-identical checkpoints and a resumed run reproduces
+the interrupted run's log suffix exactly. numpy's BLAS runs at its default
+thread count; the checkpoint does not depend on that count.
 
 Per batch, the VAE-GAN schedule is: (1) one or more discriminator updates
 on l_D over the real batch, the fake batch and a pure-noise batch, (2) an

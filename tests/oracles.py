@@ -2,7 +2,8 @@
 
 Everything here is deliberately written as plain loops over the defining
 formulas, sharing no code with gridsynth.metrics, so the two sides can
-disagree when one of them is wrong.
+disagree when one of them is wrong. The autodiff reference reuses only the
+ops' own _backward rules, not the engine's sweep.
 """
 import itertools
 import math
@@ -166,3 +167,32 @@ def spike_day(slot=40):
     day = np.zeros(96)
     day[slot] = 100.0
     return day
+
+
+def zero_fill_backward(root):
+    """Gradient of a scalar root with respect to every Param below it, by the
+    plain full sweep: a zero-filled accumulator for every node, every input
+    gradient computed, and each term added in reversed post-order.
+
+    Returns {param name: grad}; the graph's own .grad slots are not touched.
+    """
+    order, seen = [], set()
+
+    def visit(node):
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        for inp in node.inputs:
+            visit(inp)
+        order.append(node)
+
+    visit(root)
+    acc = {id(node): np.zeros_like(node.value) for node in order}
+    acc[id(root)] = np.ones_like(root.value)
+    for node in reversed(order):
+        if node.inputs:
+            terms = node._backward(acc[id(node)], (True,) * len(node.inputs),
+                                   *(inp.value for inp in node.inputs))
+            for inp, g in zip(node.inputs, terms):
+                acc[id(inp)] += g
+    return {node.name: acc[id(node)] for node in order if node.op == "param"}

@@ -10,7 +10,7 @@ from gridsynth import cli
 from gridsynth.config import RunConfig, config_hash, load_run_config, run_dir
 from gridsynth.errors import UsageError
 
-from test_datapipe import corrupt_matrix_csv
+from test_datapipe import corrupt_matrix_csv, insert_non_utf8
 
 # RunConfig keys read by the pipeline itself rather than mirrored into
 # TrainConfig / ArchConfig / MetricsConfig
@@ -239,6 +239,27 @@ class TestMalformedArtifacts:
         capsys.readouterr()
         assert cli.main(["evaluate", "--config", str(cfg_path)]) == 2
         assert target in capsys.readouterr().err
+
+    def test_not_utf8_input_csv_is_2(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        insert_non_utf8(tmp_path / "house.csv")
+        capsys.readouterr()
+        assert cli.main(["ingest", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "house.csv: not UTF-8" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("target", [
+        cli.DAYMATRIX_CSV, cli.SYNTH_CSV, cli.DAYMATRIX_CSV + ".meta", cli.SYNTH_CSV + ".meta",
+    ])
+    def test_not_utf8_artifact_evaluate_is_2(self, workspace, capsys, target):
+        _, cfg_path = workspace
+        for command in ("ingest", "train", "generate"):
+            assert cli.main([command, "--config", str(cfg_path)]) == 0
+        insert_non_utf8(run_dir(load_run_config(cfg_path)) / target)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{target}: not UTF-8" in err and "Traceback" not in err
 
     def test_garbage_resume_checkpoint_is_2(self, workspace, capsys):
         tmp_path, cfg_path = workspace

@@ -31,6 +31,14 @@ def corrupt_matrix_csv(path, how):
 MATRIX_CORRUPTIONS = ("non_numeric", "non_finite", "ragged", "bad_header", "header_only", "empty")
 
 
+def insert_non_utf8(path):
+    """Put the bytes ff fe, which no UTF-8 text holds, after the first line
+    break past the middle of the file (at its start when there is none)."""
+    data = path.read_bytes()
+    at = data.find(b"\n", len(data) // 2) + 1
+    path.write_bytes(data[:at] + b"\xff\xfe" + data[at:])
+
+
 def write_csv(path, rows, header="timestamp,power_w"):
     path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
     return path
@@ -92,6 +100,23 @@ class TestLoadCsv:
     def test_missing_column(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["2021-03-01T00:00:00Z,1.0"], header="timestamp,other")
         with pytest.raises(DataError, match="power_w"):
+            dp.load_csv(path, value_column="power_w")
+
+    @pytest.mark.parametrize("header,row,got", [
+        ("timestamp,power_w", "2021-03-01T00:05:00Z,1.0,2,3", 4),
+        ("timestamp,power_w,extra", "2021-03-01T00:05:00Z,1.0", 2),
+    ])
+    def test_row_width_must_match_header(self, tmp_path, header, row, got):
+        first = "2021-03-01T00:00:00Z,1.0" + ",x" * (header.count(",") - 1)
+        path = write_csv(tmp_path / "a.csv", [first, row], header=header)
+        width = header.count(",") + 1
+        with pytest.raises(DataError, match=f"line 3: expected {width} columns, got {got}"):
+            dp.load_csv(path, value_column="power_w")
+
+    def test_not_utf8_is_data_error(self, tmp_path):
+        path = write_csv(tmp_path / "a.csv", five_min_rows(n=6))
+        insert_non_utf8(path)
+        with pytest.raises(DataError, match="UTF-8"):
             dp.load_csv(path, value_column="power_w")
 
 
@@ -282,6 +307,14 @@ class TestDayMatrixIO:
         lines = first["m.csv"].decode().splitlines()
         assert lines[1] == ",".join(repr(float(v)) for v in matrix.values[0])
         assert first["m.csv.meta"].decode().startswith("schema = gridsynth.daymatrix/1\n")
+
+    @pytest.mark.parametrize("target", ["m.csv", "m.csv.meta"])
+    def test_not_utf8_is_data_error(self, tmp_path, target):
+        path = tmp_path / "m.csv"
+        dp.save_day_matrix(dp.normalize(dp.DayMatrix(np.arange(192.0).reshape(2, 96))), path)
+        insert_non_utf8(tmp_path / target)
+        with pytest.raises(DataError, match="UTF-8"):
+            dp.load_day_matrix(path)
 
     def test_malformed_sidecar_is_data_error(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -1,6 +1,8 @@
 """Network graphs, loss terms of the composite game, and checkpoint I/O."""
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from gridsynth import autodiff as ad
 from gridsynth import nets
 from gridsynth.errors import DataError
+
+from oracles import zero_fill_backward
 
 TINY = nets.ArchConfig(seq_len=16, latent_dim=4, channels=3, kernel_size=3, dilations=(1, 2))
 
@@ -196,26 +200,134 @@ class TestVaeGanGraph:
 
 
 class TestDiscriminateNoise:
+    """D's probabilities on i.i.d. standard-normal sequences from a seeded rng."""
+
     def test_reproducible(self, vaegan):
-        a = nets.discriminate_noise(vaegan, 4, np.random.default_rng(9))
-        b = nets.discriminate_noise(vaegan, 4, np.random.default_rng(9))
+        a = nets.discriminate(vaegan, np.random.default_rng(9).standard_normal((4, TINY.seq_len)))
+        b = nets.discriminate(vaegan, np.random.default_rng(9).standard_normal((4, TINY.seq_len)))
         np.testing.assert_array_equal(a, b)
 
     def test_batch_shape(self, vaegan):
-        probs = nets.discriminate_noise(vaegan, 6, np.random.default_rng(1))
+        probs = nets.discriminate(vaegan, np.random.default_rng(1).standard_normal((6, TINY.seq_len)))
         assert probs.shape == (6,)
 
     def test_zero_initialized_head_gives_half(self, vaegan):
         vaegan.discriminator.w_head.value[...] = 0.0
         vaegan.discriminator.b_head.value[...] = 0.0
-        probs = nets.discriminate_noise(vaegan, 5, np.random.default_rng(2))
+        probs = nets.discriminate(vaegan, np.random.default_rng(2).standard_normal((5, TINY.seq_len)))
         np.testing.assert_allclose(probs, 0.5)
 
     def test_probabilities_in_open_interval(self, vaegan, rng):
         for p in nets.all_params(vaegan).values():
             p.value += rng.standard_normal(p.value.shape)
-        probs = nets.discriminate_noise(vaegan, 8, rng)
+        probs = nets.discriminate(vaegan, rng.standard_normal((8, TINY.seq_len)))
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
+
+
+def _bound_training_graph(kind, rng):
+    """A TINY training graph ('reconstruction' or 'prior' VAE-GAN, or 'gan')
+    with perturbed Params and every input bound to a 5-row batch."""
+    if kind == "gan":
+        model = nets.GanModel(TINY, rng)
+        graph = nets.build_gan_graph(model)
+    else:
+        model = nets.VaeGanModel(TINY, rng)
+        graph = nets.build_vaegan_graph(model, fake_source=kind)
+    for p in nets.all_params(model).values():
+        p.value += rng.standard_normal(p.value.shape) * 0.1
+    bind = {graph.x: rng.uniform(0, 1, size=(5, 1, TINY.seq_len))}
+    for node, shape in graph.draws:
+        bind[node] = rng.standard_normal((5,) + shape)
+    return model, graph, bind
+
+
+class TestLeanBackward:
+    @pytest.mark.parametrize("kind", ["reconstruction", "prior", "gan"])
+    def test_param_grads_bit_identical_to_zero_fill_sweep(self, kind, rng):
+        model, graph, bind = _bound_training_graph(kind, rng)
+        params = nets.all_params(model)
+        groups = model.param_groups()
+        for loss_name, group in graph.phases:
+            loss = graph.nodes[loss_name]
+            ad.forward(loss, bind)
+            want = zero_fill_backward(loss)
+            for wrt in (groups[group], None):
+                ad.backward(loss, wrt)
+                names = [p.name for p in wrt] if wrt is not None else list(want)
+                for name in names:
+                    assert params[name].grad.tobytes() == want[name].tobytes(), (loss_name, name)
+
+    @pytest.mark.parametrize("wrt_group", ["encoder", None])
+    def test_only_leaves_keep_grads(self, wrt_group, rng):
+        model, graph, bind = _bound_training_graph("reconstruction", rng)
+        loss = graph.nodes["l_generator"]
+        wrt = model.param_groups()[wrt_group] if wrt_group else None
+        ad.forward(loss, bind)
+        ad.backward(loss, wrt)
+        order = ad.topo_order(loss)
+        assert all(node.grad is None for node in order if node.inputs)
+        for leaf in wrt or [node for node in order if not node.inputs]:
+            assert leaf.grad is not None and leaf.grad.shape == leaf.value.shape
+
+    def test_swept_graph_freed_without_gc(self, rng):
+        model, graph, bind = _bound_training_graph("reconstruction", rng)
+        loss = graph.nodes["l_D"]
+        ad.forward(loss, bind)
+        ad.backward(loss, model.discriminator.params())
+        ad.backward(loss)
+        ref = weakref.ref(loss)
+        gc.disable()
+        try:
+            del graph, loss
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestChunkedInference:
+    @pytest.mark.parametrize("wrapper", ["encode", "generate", "discriminate"])
+    def test_graph_freed_on_return_without_gc(self, vaegan, rng, monkeypatch, wrapper):
+        roots = []
+        forward = ad.forward
+
+        def spy(root, bindings=None):
+            roots.append(weakref.ref(root))
+            return forward(root, bindings)
+
+        monkeypatch.setattr(ad, "forward", spy)
+        rows = nets._INFER_CHUNK + 6
+        arg = (rng.standard_normal((rows, TINY.latent_dim)) if wrapper == "generate"
+               else rng.uniform(0, 1, size=(rows, TINY.seq_len)))
+        gc.disable()
+        try:
+            getattr(nets, wrapper)(vaegan, arg)
+            assert len(roots) == 2 and all(ref() is None for ref in roots)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 129, 512])
+    def test_generate_bit_identical_to_one_forward(self, n):
+        arch = nets.ArchConfig(latent_dim=16, channels=16)
+        model = nets.VaeGanModel(arch, np.random.default_rng(n))
+        z = np.random.default_rng(n + 1).standard_normal((n, arch.latent_dim))
+        zin = ad.Input("z")
+        out = model.generator.build(zin)
+        ad.forward(out, {zin: z})
+        assert nets.generate(model, z).tobytes() == out.value[:, 0, :].tobytes()
+
+    @pytest.mark.parametrize("wrapper", ["encode", "generate", "discriminate"])
+    def test_leading_rows_do_not_depend_on_batch_size(self, vaegan, rng, wrapper):
+        # each row keeps its chunk and its place in it; padding only fills the rest
+        def outputs(rows):
+            out = getattr(nets, wrapper)(vaegan, rows)
+            return out if wrapper == "encode" else (out,)
+
+        width = TINY.latent_dim if wrapper == "generate" else TINY.seq_len
+        rows = rng.uniform(0, 1, size=(2 * nets._INFER_CHUNK + 1, width))
+        whole = outputs(rows)
+        for n in (1, nets._INFER_CHUNK - 1, nets._INFER_CHUNK, nets._INFER_CHUNK + 1):
+            for part, full in zip(outputs(rows[:n]), whole):
+                assert part.tobytes() == full[:n].tobytes()
 
 
 class TestDTrainsOnSeparableData:

@@ -1,4 +1,6 @@
 """Sampling determinism, unit handling and export round trips."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,19 @@ def untrained(rng):
 
 
 class TestSample:
+    def test_peak_memory_bounded(self):
+        # 4096 days at the CLI default width; decoding them in one batch
+        # held every activation of all 4096 rows at once (~2.2 GB)
+        model = nets.VaeGanModel(nets.ArchConfig(), np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            batch = synth.sample(model, 4096, seed=1, norm_meta=NORM)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.n == 4096
+        assert peak < 64 * 2**20
+
     def test_same_seed_identical(self, model):
         a = synth.sample(model, 6, seed=11, norm_meta=NORM)
         b = synth.sample(model, 6, seed=11, norm_meta=NORM)
