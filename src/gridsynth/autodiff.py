@@ -17,6 +17,11 @@ overwrites only the grads of the leaves among them; the grads of off-path
 leaves, and of Params outside wrt, are left stale from earlier sweeps. The
 wanted Params get bit-identical grads either way.
 
+forward(root, bindings, reuse) leaves the op nodes in reuse as they are.
+reuse_plan works out, for a fixed schedule of forwards and parameter
+updates under one set of bindings, which nodes each forward can keep from
+an earlier one; the trainer's phases use it.
+
 Graphs hold no reference cycles: the caches a root keeps (its topological
 order and its backward plans) leave the root itself out, so a graph that
 goes out of scope is freed at once, without waiting for the cyclic GC.
@@ -175,22 +180,59 @@ class Dense(Node):
         return gx, gw, gb
 
 
+def _leaky_dydx(op: str, slope) -> np.ndarray:
+    """[slope, 1.0]: the LeakyReLU derivative indexed by x >= 0."""
+    if not 0.0 < slope <= 1.0:
+        raise GraphError(f"{op}: slope must be in (0, 1], got {slope!r}")
+    return np.array([float(slope), 1.0])
+
+
+def _leaky(x: np.ndarray, slope: float, out=None) -> np.ndarray:
+    return np.maximum(x, slope * x, out=out)
+
+
+def _leaky_grad(g: np.ndarray, nonneg: np.ndarray, dydx: np.ndarray) -> np.ndarray:
+    """g times the LeakyReLU derivative, looked up from the bool mask x >= 0.
+
+    numpy does the lookup several times faster than np.where against
+    scalars; the product is taken in place, in either order the same bits.
+    """
+    dy = dydx[nonneg.view(np.uint8)]
+    dy *= g
+    return dy
+
+
 class DilatedCausalConv1d(Node):
-    """1-D convolution with left zero padding of (K-1)*dilation.
+    """1-D convolution with left zero padding of (K-1)*dilation, optionally
+    fused with a LeakyReLU.
 
     x: (B, C_in, T) or (C_in, T); w: (C_out, C_in, K); b: (C_out,).
-    out[c, t] = b[c] + sum_{i,k} w[c, i, k] * xpad[i, t + k*dilation], so the
+    pre[c, t] = b[c] + sum_{i,k} w[c, i, k] * xpad[i, t + k*dilation], so the
     output at t sees only inputs at positions <= t and keeps length T.
+
+    With slope=None the node's value is pre. With a slope in (0, 1] it is
+    max(pre, slope * pre), bit for bit the value and the x, w and b
+    gradients of LeakyRelu(DilatedCausalConv1d(x, w, b, dilation), slope).
+    The fused node keeps the one-byte mask pre >= 0 instead of pre: the
+    mask cannot be derived from the output, because a negative subnormal
+    pre rounds to an output of -0.0, which tests >= 0.
     """
 
     op = "dilated_causal_conv1d"
 
-    def __init__(self, x: Node, w: Node, b: Node, dilation: int):
+    def __init__(self, x: Node, w: Node, b: Node, dilation: int, slope: float | None = None):
         super().__init__(x, w, b)
         if int(dilation) != dilation or dilation < 1:
             raise GraphError(f"dilated_causal_conv1d: dilation must be a positive integer, got {dilation!r}")
         self.dilation = int(dilation)
+        self.slope = None if slope is None else float(slope)
+        self._dydx = None if slope is None else _leaky_dydx(self.op, slope)
         self._cols = None
+        self._nonneg = None
+
+    def _shifts(self, k: int, t: int):
+        """(tap, how far tap reads behind t), the shift capped at T."""
+        return [(j, min((k - 1 - j) * self.dilation, t)) for j in range(k)]
 
     def _forward(self, x, w, b):
         squeeze = x.ndim == 2
@@ -204,35 +246,42 @@ class DilatedCausalConv1d(Node):
         if b.shape != (c_out,):
             raise self._shape_error(f"bias {b.shape} does not match {c_out} output channels")
         bsz, _, t = x.shape
-        pad = (k - 1) * self.dilation
-        xpad = np.zeros((bsz, c_in, t + pad))
-        xpad[:, :, pad:] = x
-        s0, s1, s2 = xpad.strides
-        win = np.lib.stride_tricks.as_strided(
-            xpad, shape=(bsz, c_in, k, t), strides=(s0, s1, s2 * self.dilation, s2)
-        )
-        cols = np.ascontiguousarray(win.reshape(bsz, c_in * k, t))
-        out = np.matmul(w.reshape(c_out, c_in * k), cols) + b[:, None]
+        # im2col straight from x: tap j at t reads x[t - (K-1-j)*dilation], or 0
+        cols = np.empty((bsz, c_in, k, t))
+        for j, shift in self._shifts(k, t):
+            if shift:
+                cols[:, :, j, :shift] = 0.0
+            cols[:, :, j, shift:] = x[:, :, : t - shift]
+        cols = cols.reshape(bsz, c_in * k, t)
+        out = np.matmul(w.reshape(c_out, c_in * k), cols)
+        out += b[:, None]
         # cache the im2col buffer; backward reuses it for the weight gradient
         self._cols = cols
         self._squeeze = squeeze
+        if self._dydx is not None:
+            self._nonneg = out >= 0
+            _leaky(out, self.slope, out=out)  # pre is not kept
         return out[0] if squeeze else out
 
     def _backward(self, g, needs, x, w, b):
         squeeze = self._squeeze
         if squeeze:
             g = g[None]
-            x = x[None]
+        if self._dydx is not None:
+            g = _leaky_grad(g, self._nonneg, self._dydx)
         c_out, c_in, k = w.shape
-        bsz, _, t = x.shape
+        bsz, _, t = g.shape
         gx = gw = gb = None
         if needs[0]:
-            pad = (k - 1) * self.dilation
             gcols = np.matmul(w.reshape(c_out, c_in * k).T, g).reshape(bsz, c_in, k, t)
-            gxpad = np.zeros((bsz, c_in, t + pad))
-            for j in range(k):
-                gxpad[:, :, j * self.dilation : j * self.dilation + t] += gcols[:, :, j, :]
-            gx = gxpad[:, :, pad:]
+            # the adjoint of the im2col gather: 0 + tap 0 + tap 1 + ... in
+            # that order; adding 0.0 turns a first term of -0.0 into +0.0
+            gx = np.empty((bsz, c_in, t))
+            (_, first), *rest = self._shifts(k, t)
+            np.add(gcols[:, :, 0, first:], 0.0, out=gx[:, :, : t - first])
+            gx[:, :, t - first :] = 0.0
+            for j, shift in rest:
+                gx[:, :, : t - shift] += gcols[:, :, j, shift:]
             if squeeze:
                 gx = gx[0]
         if needs[1]:
@@ -247,24 +296,22 @@ class LeakyRelu(Node):
 
     In that range the max form equals where(x >= 0, x, slope * x) bit for
     bit, signed zeros, infinities and NaN included; at slope 0 it would turn
-    +inf into NaN. The derivative is looked up from the sign test, which
-    numpy does several times faster than np.where against scalars.
+    +inf into NaN. A conv followed by a LeakyReLU is better built as one
+    fused DilatedCausalConv1d(..., slope=slope) node.
     """
 
     op = "leaky_relu"
 
     def __init__(self, x: Node, slope: float = 0.2):
         super().__init__(x)
-        if not 0.0 < slope <= 1.0:
-            raise GraphError(f"leaky_relu: slope must be in (0, 1], got {slope!r}")
+        self._dydx = _leaky_dydx(self.op, slope)
         self.slope = float(slope)
-        self._dydx = np.array([self.slope, 1.0])  # indexed by x >= 0
 
     def _forward(self, x):
-        return np.maximum(x, self.slope * x)
+        return _leaky(x, self.slope)
 
     def _backward(self, g, needs, x):
-        return (g * np.take(self._dydx, (x >= 0).view(np.uint8)),)
+        return (_leaky_grad(g, x >= 0, self._dydx),)
 
 
 class Sigmoid(Node):
@@ -489,24 +536,53 @@ def _resolve_bindings(order: list[Node], bindings: dict | None) -> dict[Input, n
     return resolved
 
 
-def forward(root: Node, bindings: dict | None = None) -> np.ndarray:
+def forward(root: Node, bindings: dict | None = None, reuse=frozenset()) -> np.ndarray:
     """Evaluate the DAG under the given input bindings and return root.value.
 
-    All intermediate values stay cached on the nodes for backward(). The
-    resolved bindings are stashed on the root so grad_check can re-run the
-    same forward while perturbing a parameter.
+    All intermediate values stay cached on the nodes for backward(). Op
+    nodes in reuse are not evaluated: they keep the value (and the caches
+    their backward reads) of the forward that last computed them. The
+    caller guarantees those values are still what evaluating would give,
+    i.e. that no leaf below such a node has changed since; reuse_plan
+    works that out for a fixed training schedule. The resolved bindings are
+    stashed on the root so grad_check can re-run the same forward while
+    perturbing a parameter.
     """
     order = topo_order(root)
     resolved = _resolve_bindings(order, bindings)
     for node in order:
         if isinstance(node, Input):
             node.value = resolved[node]
-        elif isinstance(node, (Constant, Param)):
+        elif isinstance(node, (Constant, Param)) or node in reuse:
             pass
         else:
             node.value = node._forward(*(inp.value for inp in node.inputs))
     root._bindings = resolved
     return root.value
+
+
+def reuse_plan(schedule) -> list[frozenset]:
+    """What each forward of a fixed schedule may skip, as forward's reuse.
+
+    schedule lists (root, params) entries, run in order under bindings that
+    stay fixed: forward(root), then an in-place update of params. An op
+    node may be reused by an entry when an earlier entry computed it and no
+    Param below it has been updated since. The first entry reuses nothing,
+    so the plan holds for every run of the schedule under new bindings.
+    """
+    orders = [topo_order(root) for root, _ in schedule]
+    valid: set[Node] = set()
+    plan = []
+    for order, (_, params) in zip(orders, schedule):
+        plan.append(frozenset(node for node in order if node in valid))
+        valid.update(node for node in order if node.inputs)
+        stale = set(params)
+        for other in orders:  # each lists a node's whole subgraph before it
+            for node in other:
+                if any(inp in stale for inp in node.inputs):
+                    stale.add(node)
+        valid -= stale
+    return plan
 
 
 def _backward_plan(root: Node, wrt) -> tuple[list[Node], list[tuple[Node | None, tuple]]]:
@@ -549,11 +625,12 @@ def backward(root: Node, wrt=None) -> None:
     computes only the input gradients those nodes need.
 
     A node's first incoming term is copied with np.add(g, 0.0): that equals
-    g bit for bit, signed zeros included, and never aliases g, which Add and
-    Reparameterize hand to several inputs at once. Later terms are added in
-    place. Each op node's grad is dropped once its op has used it. Every
-    planned node below the root has a planned consumer that needs it, so
-    every planned leaf ends the sweep with a grad.
+    0 + g, the first sum of a zero-filled accumulator, bit for bit (a -0.0
+    becomes +0.0), and never aliases g, which Add and Reparameterize hand to
+    several inputs at once. Later terms are added in place. Each op node's
+    grad is dropped once its op has used it. Every planned node below the
+    root has a planned consumer that needs it, so every planned leaf ends the
+    sweep with a grad.
     """
     if root.value is None:
         raise GraphError("backward called before forward")

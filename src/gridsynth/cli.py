@@ -182,11 +182,12 @@ def cmd_report(report_paths, out_dir=None) -> int:
     print(table)
     out = Path(out_dir) if out_dir else Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
-    (out / "comparison.txt").write_text(table + "\n", encoding="utf-8")
     csv_lines = [",".join(header)]
     for row in rows:
         csv_lines.append(",".join([row[0]] + [repr(v) for v in row[1:]]))
-    (out / "comparison.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    for name, text in (("comparison.txt", table), ("comparison.csv", "\n".join(csv_lines))):
+        with datapipe.replaced_on_success(out / name) as tmp:
+            tmp.write_text(text + "\n", encoding="utf-8")
     return 0
 
 

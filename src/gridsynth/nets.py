@@ -60,7 +60,8 @@ def _he(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class _ConvStack:
-    """Shared builder for the dilated conv trunks of all three nets."""
+    """The dilated conv trunk shared by all three nets; each layer is one
+    conv node fused with its LeakyReLU."""
 
     def __init__(self, prefix: str, arch: ArchConfig, rng: np.random.Generator, in_channels: int):
         c, k = arch.channels, arch.kernel_size
@@ -75,7 +76,7 @@ class _ConvStack:
     def build(self, x: ad.Node) -> ad.Node:
         h = x
         for w, b, dil in self.layers:
-            h = ad.LeakyRelu(ad.DilatedCausalConv1d(h, w, b, dil), self.arch.leaky_slope)
+            h = ad.DilatedCausalConv1d(h, w, b, dil, slope=self.arch.leaky_slope)
         return h
 
     def params(self) -> list[ad.Param]:

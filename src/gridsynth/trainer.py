@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nets
-from .datapipe import DayMatrix
+from .datapipe import DayMatrix, replaced_on_success
 from .errors import DataError, TrainingDiverged
 
 @dataclass
@@ -70,14 +70,14 @@ class TrainLog:
         return float(np.mean(vals))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with replaced_on_success(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(("step", "epoch") + self.loss_keys)
             for row in self.steps:
                 writer.writerow([row["step"], row["epoch"]] + [repr(row[k]) for k in self.loss_keys])
 
     def wall_to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with replaced_on_success(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(("epoch", "wall_seconds"))
             for epoch, wall in self.epoch_wall:
@@ -141,7 +141,10 @@ def _train(model_cls, build_graph, data, cfg, arch, resume, checkpoint_dir):
 
     Per batch, the graph's noise inputs are drawn in its declared order, then
     each phase runs forward, backward and its group's Adam step on one loss
-    node; discriminator phases repeat d_steps_per_g_step times.
+    node; discriminator phases repeat d_steps_per_g_step times. A phase's
+    forward skips the nodes an earlier phase of the same step computed and
+    no Adam step has touched since (autodiff.reuse_plan), which gives the
+    same values: the E phase of the default VAE-GAN re-evaluates no conv.
     """
     cfg.validate()
     checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -174,6 +177,8 @@ def _train(model_cls, build_graph, data, cfg, arch, resume, checkpoint_dir):
         for loss, group in graph.phases
         for _ in range(cfg.d_steps_per_g_step if group == "discriminator" else 1)
     ]
+    # what each phase's forward may keep from an earlier phase of the step
+    reuse = ad.reuse_plan([(loss, opt.params) for loss, opt in schedule])
     log = TrainLog(graph.nodes)
 
     def save(path, epoch):
@@ -192,8 +197,8 @@ def _train(model_cls, build_graph, data, cfg, arch, resume, checkpoint_dir):
             for node, shape in graph.draws:
                 bind[node] = rng.standard_normal((len(x),) + shape)
             step += 1
-            for loss, opt in schedule:
-                ad.forward(loss, bind)
+            for (loss, opt), keep in zip(schedule, reuse):
+                ad.forward(loss, bind, keep)
                 ad.backward(loss, opt.params)
                 opt.step()
             # snapshot: D terms from the last D forward, the rest from later phases

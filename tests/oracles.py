@@ -196,3 +196,31 @@ def zero_fill_backward(root):
             for inp, g in zip(node.inputs, terms):
                 acc[id(inp)] += g
     return {node.name: acc[id(node)] for node in order if node.op == "param"}
+
+
+def causal_conv_padded(x, w, b, dilation):
+    """Dilated causal conv through a zero-padded copy of x and a strided
+    im2col window: (B, C_out, T) values and the (B, C_in*K, T) columns."""
+    bsz, c_in, t = x.shape
+    c_out, _, k = w.shape
+    pad = (k - 1) * dilation
+    xpad = np.zeros((bsz, c_in, t + pad))
+    xpad[:, :, pad:] = x
+    s0, s1, s2 = xpad.strides
+    win = np.lib.stride_tricks.as_strided(
+        xpad, shape=(bsz, c_in, k, t), strides=(s0, s1, s2 * dilation, s2))
+    cols = np.ascontiguousarray(win.reshape(bsz, c_in * k, t))
+    return np.matmul(w.reshape(c_out, c_in * k), cols) + b[:, None], cols
+
+
+def causal_conv_padded_input_grad(g, w, dilation):
+    """Input gradient of causal_conv_padded: the column gradients added tap
+    by tap, j = 0..K-1, into a zero-filled padded buffer."""
+    bsz, _, t = g.shape
+    c_out, c_in, k = w.shape
+    pad = (k - 1) * dilation
+    gcols = np.matmul(w.reshape(c_out, c_in * k).T, g).reshape(bsz, c_in, k, t)
+    gxpad = np.zeros((bsz, c_in, t + pad))
+    for j in range(k):
+        gxpad[:, :, j * dilation : j * dilation + t] += gcols[:, :, j, :]
+    return gxpad[:, :, pad:]

@@ -7,6 +7,7 @@ with one identical config per seed. Run with
 """
 import math
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ def test_criterion_1_metric_oracles():
 def test_criterion_2_gradient_correctness():
     t0 = time.perf_counter()
     for op_name in GRADCHECK_OPS:
-        rng = np.random.default_rng(hash(op_name) % (2**32))
+        rng = np.random.default_rng(zlib.crc32(op_name.encode()))
         worst = max(_gradcheck_case(op_name, rng) for _ in range(20))
         assert worst < 1e-4, f"{op_name}: {worst}"
 

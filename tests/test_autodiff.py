@@ -1,9 +1,12 @@
 """Forward values, exact examples, gradient checks and graph-protocol errors."""
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gridsynth import autodiff as ad
+from oracles import causal_conv_padded, causal_conv_padded_input_grad
 
 
 def test_forward_identity_input():
@@ -148,6 +151,20 @@ class TestDilatedCausalConv:
             after = ad.forward(node, {x: zeroed})
             np.testing.assert_array_equal(after[:, :, : cut + 1], base[:, :, : cut + 1])
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("dilation", range(1, 9))
+    def test_matches_padded_buffer_oracle(self, dilation, k, rng):
+        x_val = rng.standard_normal((2, 3, 11))
+        x_val[0, 0, :2] = [-0.0, -5e-324]
+        w_val, b_val = rng.standard_normal((4, 3, k)), rng.standard_normal(4)
+        g_val = rng.standard_normal((2, 4, 11))
+        want, want_cols = causal_conv_padded(x_val, w_val, b_val, dilation)
+        conv = ad.DilatedCausalConv1d(ad.Input("x"), ad.Constant(w_val), ad.Constant(b_val), dilation)
+        assert ad.forward(conv, {"x": x_val}).tobytes() == want.tobytes()
+        assert conv._cols.tobytes() == want_cols.tobytes()
+        gx, _, _ = conv._backward(g_val, (True, False, False), x_val, w_val, b_val)
+        assert gx.tobytes() == causal_conv_padded_input_grad(g_val, w_val, dilation).tobytes()
+
     def test_non_positive_dilation_rejected(self):
         x = ad.Input("x")
         w = ad.Constant(np.ones((1, 1, 2)))
@@ -266,9 +283,22 @@ GRADCHECK_OPS = [
 
 @pytest.mark.parametrize("op_name", GRADCHECK_OPS)
 def test_gradcheck_per_op_20_instances(op_name):
-    rng = np.random.default_rng(hash(op_name) % (2**32))
+    rng = np.random.default_rng(zlib.crc32(op_name.encode()))
     for _ in range(20):
         assert _gradcheck_case(op_name, rng) < 1e-4
+
+
+def test_gradcheck_fused_conv_leaky_relu_20_instances():
+    rng = np.random.default_rng(zlib.crc32(b"dilated_causal_conv1d+leaky_relu"))
+    for _ in range(20):
+        k = int(rng.integers(1, 4))
+        x = ad.Constant(rng.standard_normal((2, 2, 7)))
+        w = ad.Param("w", rng.standard_normal((3, 2, k)) * 0.5)
+        b = ad.Param("b", rng.standard_normal(3) * 0.2)
+        fused = ad.DilatedCausalConv1d(x, w, b, int(rng.integers(1, 4)), slope=0.2)
+        root = _scalarize(ad.Tanh(fused))
+        ad.forward(root, {})
+        assert ad.grad_check(root, w if rng.uniform() < 0.5 else b, step=1e-5) < 1e-4
 
 
 def test_gradcheck_ops_cover_registry():
@@ -360,6 +390,116 @@ class TestLeakyRelu:
     def test_slope_outside_unit_interval_rejected(self, slope):
         with pytest.raises(ad.GraphError, match="slope"):
             ad.LeakyRelu(ad.Input("x"), slope)
+
+
+class TestFusedConvLeakyRelu:
+    """DilatedCausalConv1d(..., slope=s) against LeakyRelu(DilatedCausalConv1d(...), s)."""
+
+    @staticmethod
+    def _both(x_val, w_val, b_val, dilation, slope, g_val):
+        """(value, x/w/b grads) of the fused node and of the unfused pair."""
+        x = ad.Input("x")
+        w, b = ad.Constant(w_val), ad.Constant(b_val)
+        fused = ad.DilatedCausalConv1d(x, w, b, dilation, slope=slope)
+        conv = ad.DilatedCausalConv1d(x, w, b, dilation)
+        unfused = ad.LeakyRelu(conv, slope)
+        needs = (True, True, True)
+        fused_value = ad.forward(fused, {x: x_val}).copy()
+        fused_grads = fused._backward(g_val, needs, x_val, w_val, b_val)
+        unfused_value = ad.forward(unfused, {x: x_val})
+        (g_conv,) = unfused._backward(g_val, (True,), conv.value)
+        unfused_grads = conv._backward(g_conv, needs, x_val, w_val, b_val)
+        return (fused_value, *fused_grads), (unfused_value, *unfused_grads)
+
+    def _assert_bit_identical(self, *args):
+        fused, unfused = self._both(*args)
+        for name, a, b in zip(("value", "x grad", "w grad", "b grad"), fused, unfused):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("squeeze", [False, True])
+    def test_special_preactivations(self, squeeze, rng):
+        # one channel, K=1, w=1, b=-0.0: the pre-activation is x, bit for bit
+        special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 1.5, -1.5, 1e308, -1e308]
+        x_val = np.array(special + list(rng.standard_normal(30))).reshape(1, 1, -1)
+        if squeeze:
+            x_val = x_val[0]
+        g_val = rng.standard_normal(x_val.shape)
+        with np.errstate(invalid="ignore"):  # the weight gradient sums +inf and -inf
+            self._assert_bit_identical(x_val, np.ones((1, 1, 1)), np.array([-0.0]), 1, 0.2, g_val)
+
+    def test_negative_subnormal_takes_the_slope(self):
+        # -5e-324 * 0.2 rounds to -0.0, which tests >= 0; the mask must not
+        x = ad.Input("x")
+        fused = ad.DilatedCausalConv1d(x, ad.Constant(np.ones((1, 1, 1))),
+                                       ad.Constant(np.array([-0.0])), 1, slope=0.2)
+        x_val = np.array([[[-5e-324, 5e-324]]])
+        out = ad.forward(fused, {x: x_val})
+        assert out.tobytes() == np.array([[[-0.0, 5e-324]]]).tobytes()
+        gx, _, _ = fused._backward(np.ones((1, 1, 2)), (True, False, False),
+                                   *(node.value for node in fused.inputs))
+        assert gx.tolist() == [[[0.2, 1.0]]]
+
+    @pytest.mark.parametrize("squeeze", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("dilation", range(1, 9))
+    def test_matches_unfused_bit_for_bit(self, dilation, k, squeeze, rng):
+        c_in, c_out, t = 3, 4, 11
+        x_val = rng.standard_normal((2, c_in, t))
+        x_val[0, 0, :4] = [0.0, -0.0, 5e-324, -5e-324]
+        w_val = rng.standard_normal((c_out, c_in, k))
+        b_val = rng.standard_normal(c_out)
+        # a channel with zero weights whose pre-activation is its bias alone
+        w_val[0] = 0.0
+        b_val[0] = -5e-324
+        if squeeze:
+            x_val = x_val[0]
+        g_val = rng.standard_normal(x_val.shape[:-2] + (c_out, t))
+        self._assert_bit_identical(x_val, w_val, b_val, dilation, 0.2, g_val)
+
+    @pytest.mark.parametrize("slope", [0.0, 1.5, np.nan])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ad.GraphError, match="slope"):
+            ad.DilatedCausalConv1d(ad.Input("x"), ad.Input("w"), ad.Input("b"), 1, slope=slope)
+
+
+class TestReuse:
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        forward = ad.Tanh._forward
+
+        def counted(self, x):
+            calls.append(self)
+            return forward(self, x)
+
+        monkeypatch.setattr(ad.Tanh, "_forward", counted)
+        return calls
+
+    def test_reused_nodes_keep_their_value(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        x = ad.Input("x")
+        inner = ad.Tanh(x)
+        root = ad.Tanh(inner)
+        ad.forward(root, {x: [0.5]})
+        kept = inner.value
+        ad.forward(root, {x: [2.0]}, reuse=frozenset([inner]))
+        assert calls == [inner, root, root]
+        assert inner.value is kept
+        assert root.value.tolist() == [np.tanh(np.tanh(0.5))]
+
+    def test_plan_follows_param_updates(self):
+        # h1 = tanh(x + p) feeds l1 and h2 = tanh(h1 + q), which feeds l2
+        x = ad.Input("x")
+        p, q = ad.Param("p", [1.0]), ad.Param("q", [1.0])
+        h1 = ad.Tanh(ad.Add(x, p))
+        h2 = ad.Tanh(ad.Add(h1, q))
+        l1, l2 = ad.Sum(h1), ad.Sum(h2)
+        plan = ad.reuse_plan([(l1, [q]), (l2, [q]), (l2, [p]), (l2, []), (l1, [])])
+        assert plan[0] == frozenset()
+        assert plan[1] == frozenset([h1, h1.inputs[0]])  # h2 is not computed yet
+        assert plan[2] == plan[1]  # q was stepped, so h2 is stale
+        assert plan[3] == frozenset()  # p was stepped: everything below l2 is stale
+        assert plan[4] == plan[1]  # l1 itself was last computed before p moved
 
 
 def _two_branch_graph(rng):

@@ -2,6 +2,7 @@
 import datetime as dtmod
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +330,31 @@ class TestMalformedArtifacts:
         assert cli.main(["report", str(path), "--out", str(tmp_path / "cmp")]) == 2
         assert "report.json" in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("failing", ["comparison.txt", "comparison.csv"])
+    def test_failed_comparison_write_keeps_previous_file(self, tmp_path, capsys, monkeypatch,
+                                                         failing):
+        from gridsynth.metrics import full_report
+
+        rng = np.random.default_rng(0)
+        full_report(rng.uniform(0, 500, (4, 96)), rng.uniform(0, 500, (4, 96))).save(
+            tmp_path / "report.json")
+        out = tmp_path / "cmp"
+        assert cli.cmd_report([tmp_path / "report.json"], out_dir=out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        write_text = Path.write_text
+
+        def fail_midway(path, text, **kw):
+            if path.name.startswith(f".{failing}."):
+                write_text(path, text[: len(text) // 2], **kw)
+                raise OSError("disk full")
+            return write_text(path, text, **kw)
+
+        monkeypatch.setattr(Path, "write_text", fail_midway)
+        with pytest.raises(OSError, match="disk full"):
+            cli.cmd_report([tmp_path / "report.json"] * 2, out_dir=out)
+        assert (out / failing).read_bytes() == before[failing]
+        assert sorted(p.name for p in out.iterdir()) == ["comparison.csv", "comparison.txt"]
 
 
 class TestGenerateFlags:

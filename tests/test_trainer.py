@@ -109,6 +109,80 @@ class TestPrunedBackwardOracle:
                 assert getattr(p, slot).tobytes() == getattr(q, slot).tobytes(), (name, slot)
 
 
+# every config whose phase schedule differs, with its conv forwards per step
+# at the default four dilations: (without reuse, with reuse)
+_REUSE_CONFIGS = [
+    pytest.param(trainer.train_vaegan, {}, (43, 34), id="vaegan"),
+    pytest.param(trainer.train_gan, {}, (22, 17), id="gan"),
+    pytest.param(trainer.train_vaegan, {"fake_source": "prior"}, (44, 39), id="vaegan-prior"),
+    pytest.param(trainer.train_vaegan, {"d_steps_per_g_step": 2}, (64, 46), id="vaegan-d2"),
+    pytest.param(trainer.train_gan, {"d_steps_per_g_step": 2}, (35, 25), id="gan-d2"),
+]
+DEEP_TINY = nets.ArchConfig(seq_len=96, latent_dim=4, channels=3, kernel_size=3)
+
+
+def _without_reuse(monkeypatch):
+    """Make every forward evaluate its whole graph, whatever reuse it is given."""
+    forward = ad.forward
+    monkeypatch.setattr(ad, "forward",
+                        lambda root, bindings=None, reuse=frozenset(): forward(root, bindings))
+
+
+def _same_training(a, b):
+    (model_a, log_a), (model_b, log_b) = a, b
+    assert log_a.steps == log_b.steps
+    params_b = nets.all_params(model_b)
+    for name, p in nets.all_params(model_a).items():
+        for slot in ("value", "moment1", "moment2"):
+            assert getattr(p, slot).tobytes() == getattr(params_b[name], slot).tobytes(), (name, slot)
+
+
+class TestForwardReuse:
+    """Each phase's forward skips what an earlier phase of the step computed."""
+
+    @pytest.mark.parametrize("train_fn,kw,counts", _REUSE_CONFIGS)
+    def test_bit_identical_without_reuse(self, train_fn, kw, counts, monkeypatch):
+        data = tiny_data()
+        reused = train_fn(data, quick_cfg(**kw), arch=TINY)
+        _without_reuse(monkeypatch)
+        _same_training(reused, train_fn(data, quick_cfg(**kw), arch=TINY))
+
+    @pytest.mark.parametrize("train_fn", [trainer.train_vaegan, trainer.train_gan])
+    def test_resume_bit_identical_without_reuse(self, train_fn, tmp_path, monkeypatch):
+        data = tiny_data()
+        runs = []
+        for tag in ("reuse", "none"):
+            if tag == "none":
+                _without_reuse(monkeypatch)
+            first = tmp_path / tag / "first"
+            train_fn(data, quick_cfg(epochs=1), arch=TINY, checkpoint_dir=first)
+            resume = nets.load_checkpoint(first / "checkpoint.npz")
+            runs.append(train_fn(data, quick_cfg(epochs=3), arch=TINY, resume=resume,
+                                 checkpoint_dir=tmp_path / tag / "resumed"))
+        _same_training(*runs)
+        assert ((tmp_path / "reuse" / "resumed" / "checkpoint.npz").read_bytes()
+                == (tmp_path / "none" / "resumed" / "checkpoint.npz").read_bytes())
+
+    @pytest.mark.parametrize("train_fn,kw,counts", _REUSE_CONFIGS)
+    def test_conv_forwards_per_step(self, train_fn, kw, counts, monkeypatch):
+        calls = []
+        conv_forward = ad.DilatedCausalConv1d._forward
+
+        def counted(self, *vals):
+            calls.append(self)
+            return conv_forward(self, *vals)
+
+        monkeypatch.setattr(ad.DilatedCausalConv1d, "_forward", counted)
+        per_step = {}
+        for mode in ("reuse", "none"):
+            if mode == "none":
+                _without_reuse(monkeypatch)
+            calls.clear()
+            _, log = train_fn(tiny_data(), quick_cfg(**kw), arch=DEEP_TINY)
+            per_step[mode] = len(calls) / len(log.steps)
+        assert (per_step["none"], per_step["reuse"]) == counts
+
+
 # trains both models at TINY and at the acceptance toy width, whose 32-row
 # dense products are large enough for OpenBLAS to split across threads
 _PIN_SCRIPT = f"""
@@ -257,6 +331,27 @@ class TestTrainLog:
             assert len(lines) == 1 + len(log.steps)
         log.wall_to_csv(tmp_path / "epochs.csv")
         assert (tmp_path / "epochs.csv").read_text().splitlines()[0] == "epoch,wall_seconds"
+
+    @pytest.mark.parametrize("writer", ["to_csv", "wall_to_csv"])
+    def test_failed_write_keeps_previous_file(self, writer, tmp_path, monkeypatch):
+        _, log = trainer.train_gan(tiny_data(), quick_cfg(epochs=1), arch=TINY)
+        path = tmp_path / "log.csv"
+        getattr(log, writer)(path)
+        before = path.read_bytes()
+
+        class FailingWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def writerow(self, row):
+                self.fh.write("partial,")
+                raise OSError("disk full")
+
+        monkeypatch.setattr(trainer.csv, "writer", FailingWriter)
+        with pytest.raises(OSError, match="disk full"):
+            getattr(log, writer)(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
 
     def test_monotone_step_index(self):
         data = tiny_data()
