@@ -1,13 +1,14 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Define-then-run: build a DAG of Node objects once, then repeatedly bind
-arrays to the Input leaves and call forward / backward on the root. Only
-the operations needed by the encoder / generator / discriminator stack
-exist; there is no broadcasting and no dynamic shape polymorphism beyond
-the batch dimension.
+arrays to the Input leaves and call forward / backward on the root. The
+leaves are Param (trainable, holds its value) and Input (bound per
+forward, in a dict keyed by the Input node itself). Only the operations
+needed by the encoder / generator / discriminator stack exist; there is no
+broadcasting and no dynamic shape polymorphism beyond the batch dimension.
 
 Gradient convention: backward(root) requires a scalar root, overwrites the
-grad of every leaf (Param, Input, Constant) reachable from the root, and
+grad of every leaf (Param, Input) reachable from the root, and
 accumulates additively when a node (typically a Param) feeds several
 branches of the same graph. Op nodes hold a grad only while the sweep
 needs it: it is dropped (set to None) as soon as the op has passed it on,
@@ -21,6 +22,9 @@ forward(root, bindings, reuse) leaves the op nodes in reuse as they are.
 reuse_plan works out, for a fixed schedule of forwards and parameter
 updates under one set of bindings, which nodes each forward can keep from
 an earlier one; the trainer's phases use it.
+
+grad_check(root, param, bindings) compares backward's gradient of one
+Param with central differences of forward under those bindings.
 
 Graphs hold no reference cycles: the caches a root keeps (its topological
 order and its backward plans) leave the root itself out, so a graph that
@@ -83,7 +87,6 @@ class Node:
         self.grad: np.ndarray | None = None
         self._topo: list[Node] | None = None
         self._plans: dict = {}  # backward plans of this root, keyed by wrt
-        self._bindings: dict | None = None
 
     def _forward(self, *vals: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -104,7 +107,7 @@ class Node:
 
 
 class Input(Node):
-    """Named placeholder bound at forward() time."""
+    """Placeholder bound at forward() time; the name only labels errors."""
 
     op = "input"
 
@@ -114,16 +117,6 @@ class Input(Node):
 
     def _label(self):
         return f"input '{self.name}'"
-
-
-class Constant(Node):
-    """Fixed, non-trainable leaf."""
-
-    op = "constant"
-
-    def __init__(self, value):
-        super().__init__()
-        self.value = _as_f64(value).copy()
 
 
 class Param(Node):
@@ -206,7 +199,7 @@ class DilatedCausalConv1d(Node):
     """1-D convolution with left zero padding of (K-1)*dilation, optionally
     fused with a LeakyReLU.
 
-    x: (B, C_in, T) or (C_in, T); w: (C_out, C_in, K); b: (C_out,).
+    x: (B, C_in, T); w: (C_out, C_in, K); b: (C_out,).
     pre[c, t] = b[c] + sum_{i,k} w[c, i, k] * xpad[i, t + k*dilation], so the
     output at t sees only inputs at positions <= t and keeps length T.
 
@@ -235,9 +228,6 @@ class DilatedCausalConv1d(Node):
         return [(j, min((k - 1 - j) * self.dilation, t)) for j in range(k)]
 
     def _forward(self, x, w, b):
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x[None]
         if x.ndim != 3:
             raise self._shape_error(f"expected (B, C, T) input, got shape {x.shape}")
         if w.ndim != 3 or w.shape[1] != x.shape[1]:
@@ -257,16 +247,12 @@ class DilatedCausalConv1d(Node):
         out += b[:, None]
         # cache the im2col buffer; backward reuses it for the weight gradient
         self._cols = cols
-        self._squeeze = squeeze
         if self._dydx is not None:
             self._nonneg = out >= 0
             _leaky(out, self.slope, out=out)  # pre is not kept
-        return out[0] if squeeze else out
+        return out
 
     def _backward(self, g, needs, x, w, b):
-        squeeze = self._squeeze
-        if squeeze:
-            g = g[None]
         if self._dydx is not None:
             g = _leaky_grad(g, self._nonneg, self._dydx)
         c_out, c_in, k = w.shape
@@ -282,8 +268,6 @@ class DilatedCausalConv1d(Node):
             gx[:, :, t - first :] = 0.0
             for j, shift in rest:
                 gx[:, :, : t - shift] += gcols[:, :, j, shift:]
-            if squeeze:
-                gx = gx[0]
         if needs[1]:
             gw = np.matmul(g, self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(c_out, c_in, k)
         if needs[2]:
@@ -312,17 +296,6 @@ class LeakyRelu(Node):
 
     def _backward(self, g, needs, x):
         return (_leaky_grad(g, x >= 0, self._dydx),)
-
-
-class Sigmoid(Node):
-    op = "sigmoid"
-
-    def _forward(self, x):
-        return sigmoid(x)
-
-    def _backward(self, g, needs, x):
-        s = self.value
-        return (g * s * (1.0 - s),)
 
 
 class Tanh(Node):
@@ -395,16 +368,6 @@ class Sum(Node):
         return (np.broadcast_to(g, x.shape).copy(),)
 
 
-class Mean(Node):
-    op = "mean"
-
-    def _forward(self, x):
-        return np.asarray(x.mean())
-
-    def _backward(self, g, needs, x):
-        return (np.full(x.shape, float(g) / x.size),)
-
-
 class Mse(Node):
     """Mean over all elements of (a - b)^2."""
 
@@ -445,19 +408,17 @@ class Bce(Node):
 
 class GaussianKl(Node):
     """KL( N(mean, exp(logvar)) || N(0, 1) ), summed over latent dims and
-    averaged over the batch (axis 0 of 2-D operands)."""
+    averaged over the batch; mean and logvar are (B, L)."""
 
     op = "gaussian_kl"
 
     def _forward(self, mean, logvar):
-        if mean.shape != logvar.shape:
-            raise self._shape_error(f"mean {mean.shape} vs logvar {logvar.shape}")
-        batch = mean.shape[0] if mean.ndim >= 2 else 1
-        return np.asarray(0.5 * np.sum(mean**2 + np.exp(logvar) - 1.0 - logvar) / batch)
+        if mean.ndim != 2 or mean.shape != logvar.shape:
+            raise self._shape_error(f"expected (B, L) mean and logvar, got {mean.shape}, {logvar.shape}")
+        return np.asarray(0.5 * np.sum(mean**2 + np.exp(logvar) - 1.0 - logvar) / mean.shape[0])
 
     def _backward(self, g, needs, mean, logvar):
-        batch = mean.shape[0] if mean.ndim >= 2 else 1
-        coeff = float(g) / batch
+        coeff = float(g) / mean.shape[0]
         return coeff * mean, coeff * 0.5 * (np.exp(logvar) - 1.0)
 
 
@@ -476,16 +437,6 @@ class Reparameterize(Node):
     def _backward(self, g, needs, mean, logvar, eps):
         std = np.exp(0.5 * logvar)
         return g, g * eps * 0.5 * std, g * std
-
-
-#: op-kind name -> Node subclass, for introspection and per-op test sweeps
-OP_KINDS = {
-    cls.op: cls
-    for cls in (
-        Input, Constant, Param, Dense, DilatedCausalConv1d, LeakyRelu, Sigmoid,
-        Tanh, Add, Affine, Clamp, Sum, Mean, Mse, Bce, GaussianKl, Reparameterize,
-    )
-}
 
 
 def topo_order(root: Node) -> list[Node]:
@@ -515,49 +466,33 @@ def topo_order(root: Node) -> list[Node]:
 
 
 def _resolve_bindings(order: list[Node], bindings: dict | None) -> dict[Input, np.ndarray]:
-    by_name: dict[str, np.ndarray] = {}
-    by_node: dict[Input, np.ndarray] = {}
-    for key, val in (bindings or {}).items():
-        if isinstance(key, Input):
-            by_node[key] = _as_f64(val)
-        elif isinstance(key, str):
-            by_name[key] = _as_f64(val)
-        else:
-            raise GraphError(f"binding keys must be Input nodes or names, got {type(key)!r}")
+    bindings = bindings or {}
     resolved: dict[Input, np.ndarray] = {}
     for node in order:
         if isinstance(node, Input):
-            if node in by_node:
-                resolved[node] = by_node[node]
-            elif node.name in by_name:
-                resolved[node] = by_name[node.name]
-            else:
+            if node not in bindings:
                 raise UnboundInputError(f"no binding for input '{node.name}'")
+            resolved[node] = _as_f64(bindings[node])
     return resolved
 
 
 def forward(root: Node, bindings: dict | None = None, reuse=frozenset()) -> np.ndarray:
-    """Evaluate the DAG under the given input bindings and return root.value.
+    """Evaluate the DAG under bindings {Input: array} and return root.value.
 
     All intermediate values stay cached on the nodes for backward(). Op
     nodes in reuse are not evaluated: they keep the value (and the caches
     their backward reads) of the forward that last computed them. The
     caller guarantees those values are still what evaluating would give,
     i.e. that no leaf below such a node has changed since; reuse_plan
-    works that out for a fixed training schedule. The resolved bindings are
-    stashed on the root so grad_check can re-run the same forward while
-    perturbing a parameter.
+    works that out for a fixed training schedule.
     """
     order = topo_order(root)
     resolved = _resolve_bindings(order, bindings)
     for node in order:
         if isinstance(node, Input):
             node.value = resolved[node]
-        elif isinstance(node, (Constant, Param)) or node in reuse:
-            pass
-        else:
+        elif not isinstance(node, Param) and node not in reuse:
             node.value = node._forward(*(inp.value for inp in node.inputs))
-    root._bindings = resolved
     return root.value
 
 
@@ -655,16 +590,15 @@ def backward(root: Node, wrt=None) -> None:
                     inp.grad += g
 
 
-def grad_check(root: Node, param: Param, step: float = 1e-5) -> float:
+def grad_check(root: Node, param: Param, bindings: dict | None, step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Relative error per component is |analytic - numeric| / max(1, |analytic|).
-    Uses the bindings stashed by the most recent forward(); leaves the param
-    and the cached values exactly as found.
+    Every forward runs under bindings; the param is left exactly as found,
+    and the cached values are those of a forward under bindings.
     """
     if not 1e-6 <= step <= 1e-3:
         raise GraphError(f"grad_check: step must be in [1e-6, 1e-3], got {step}")
-    bindings = root._bindings if root._bindings is not None else {}
     forward(root, bindings)
     backward(root)
     analytic = param.grad.copy()

@@ -292,7 +292,7 @@ def denormalize(matrix: DayMatrix) -> np.ndarray:
     """Invert normalize(); returns the watt-valued array."""
     if not matrix.normalized:
         raise DataError("matrix has no normalization metadata")
-    return matrix.values * (matrix.norm_max - matrix.norm_min) + matrix.norm_min
+    return denormalize_values(matrix.values, matrix.norm_min, matrix.norm_max)
 
 
 def denormalize_values(values: np.ndarray, norm_min: float, norm_max: float) -> np.ndarray:

@@ -18,6 +18,7 @@ from .errors import DataError
 
 DEFAULT_BINS = 100
 SMOOTHING_EPS = 1e-10
+MAX_POOLED_MMD_SAMPLES = 4096  # per side, for mmd_on = "pooled"
 PERCENTILE_HIGH = 97.5
 PERCENTILE_LOW = 2.5
 HOURS_PER_SLOT = 0.25
@@ -283,12 +284,10 @@ def aggregate_stats(days, alpha_high: float = 0.9, alpha_low: float = 0.1) -> di
 @dataclass
 class MetricsConfig:
     bins: int = DEFAULT_BINS
-    smoothing_eps: float = SMOOTHING_EPS
     sigma: str | float = "median"  # "median" or a positive bandwidth
     mmd_on: str = "days"  # "days" (96-dim vectors) or "pooled" (scalars)
     alpha_high: float = 0.9
     alpha_low: float = 0.1
-    max_pooled_mmd_samples: int = 4096
 
 
 # MetricsReport field annotation -> the JSON values load() accepts for it
@@ -363,14 +362,14 @@ def full_report(
     pooled_real = real.ravel()
     pooled_synth = synth.ravel()
 
-    kl = kl_divergence(pooled_real, pooled_synth, bins=cfg.bins, eps=cfg.smoothing_eps)
+    kl = kl_divergence(pooled_real, pooled_synth, bins=cfg.bins, eps=SMOOTHING_EPS)
     w1 = wasserstein1(pooled_real, pooled_synth)
 
     if cfg.mmd_on == "days":
         mx, my = real, synth
     elif cfg.mmd_on == "pooled":
-        mx = _cap_samples(pooled_real, cfg.max_pooled_mmd_samples)
-        my = _cap_samples(pooled_synth, cfg.max_pooled_mmd_samples)
+        mx = _cap_samples(pooled_real, MAX_POOLED_MMD_SAMPLES)
+        my = _cap_samples(pooled_synth, MAX_POOLED_MMD_SAMPLES)
     else:
         raise DataError(f"mmd_on must be 'days' or 'pooled', got {cfg.mmd_on!r}")
     if isinstance(cfg.sigma, str):
@@ -391,7 +390,7 @@ def full_report(
         synth_stats=aggregate_stats(synth, cfg.alpha_high, cfg.alpha_low),
         config={
             "bins": cfg.bins,
-            "smoothing_eps": cfg.smoothing_eps,
+            "smoothing_eps": SMOOTHING_EPS,
             "sigma_mode": sigma_mode,
             "sigma": sigma,
             "mmd_on": cfg.mmd_on,

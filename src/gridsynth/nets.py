@@ -17,14 +17,21 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, asdict, field
-from typing import ClassVar
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import autodiff as ad
 from .datapipe import replaced_on_success
 from .errors import DataError
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -40,8 +47,13 @@ class ArchConfig:
     logvar_clip: float = 10.0
 
     def __post_init__(self):
-        if not 0.0 < self.leaky_slope <= 1.0:
+        sizes = (self.seq_len, self.latent_dim, self.channels, self.kernel_size, *self.dilations)
+        if not all(_is_count(n) and n > 0 for n in sizes):
+            raise ValueError(f"sizes and dilations must be positive integers, got {self}")
+        if not (_is_number(self.leaky_slope) and 0.0 < self.leaky_slope <= 1.0):
             raise ValueError(f"leaky_slope must be in (0, 1], got {self.leaky_slope!r}")
+        if not (_is_number(self.logvar_clip) and self.logvar_clip > 0):
+            raise ValueError(f"logvar_clip must be a positive number, got {self.logvar_clip!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -219,41 +231,26 @@ def vanilla_gan_losses(logit_real: ad.Node, logit_fake: ad.Node) -> tuple[ad.Nod
     return g_loss, d_loss
 
 
-class _TrainingGraph:
-    """What the training loop needs of a graph.
+@dataclass
+class TrainingGraph:
+    """What the training loop needs of a model's graph.
 
-    nodes maps loss names to loss Nodes, draws lists the per-batch
-    standard-normal Inputs with their shapes after the batch axis (in RNG
-    draw order), and phases lists the (loss name, parameter group) updates
-    of one training step.
+    x is the Input of the real batch, nodes maps loss names to loss Nodes,
+    draws lists the per-batch standard-normal Inputs with their shapes after
+    the batch axis (in RNG draw order), and phases lists the (loss name,
+    parameter group) updates of one training step.
     """
 
-    phases: ClassVar[tuple]
+    x: ad.Input
+    nodes: dict
+    draws: tuple
+    phases: tuple
 
     def bundle(self) -> dict[str, float]:
         return {name: float(node.value) for name, node in self.nodes.items()}
 
 
-@dataclass
-class VaeGanGraph(_TrainingGraph):
-    """The full training graph: inputs plus every named loss node."""
-
-    x: ad.Input
-    eps: ad.Input
-    noise: ad.Input
-    z_prior: ad.Input | None
-    mean: ad.Node
-    logvar: ad.Node
-    x_hat: ad.Node
-    nodes: dict = field(default_factory=dict)  # name -> loss Node
-    draws: tuple = ()
-
-    phases: ClassVar[tuple] = (
-        ("l_D", "discriminator"), ("l_reconstruction", "encoder"), ("l_generator", "generator"),
-    )
-
-
-def build_vaegan_graph(model: VaeGanModel, fake_source: str = "reconstruction") -> VaeGanGraph:
+def build_vaegan_graph(model: VaeGanModel, fake_source: str = "reconstruction") -> TrainingGraph:
     """Wire encoder, generator and three discriminator passes into one DAG.
 
     fake_source picks what D sees as fake (and what l_dG pushes on):
@@ -265,13 +262,13 @@ def build_vaegan_graph(model: VaeGanModel, fake_source: str = "reconstruction") 
     x = ad.Input("x")
     eps = ad.Input("eps")
     noise = ad.Input("noise")
+    draws = ((eps, (arch.latent_dim,)), (noise, (1, arch.seq_len)))
     mean, logvar = model.encoder.build(x)
-    z = ad.Reparameterize(mean, logvar, eps)
-    x_hat = model.generator.build(z)
-    z_prior = None
+    x_hat = model.generator.build(ad.Reparameterize(mean, logvar, eps))
     fake = x_hat
     if fake_source == "prior":
         z_prior = ad.Input("z_prior")
+        draws += ((z_prior, (arch.latent_dim,)),)
         fake = model.generator.build(z_prior)
 
     l_prior = ad.GaussianKl(mean, logvar)  # batch-averaged KL against N(0, 1)
@@ -298,33 +295,18 @@ def build_vaegan_graph(model: VaeGanModel, fake_source: str = "reconstruction") 
         "l_noise": adv["l_noise"],
         "l_D": l_d,
     }
-    draws = ((eps, (arch.latent_dim,)), (noise, (1, arch.seq_len)))
-    if z_prior is not None:
-        draws += ((z_prior, (arch.latent_dim,)),)
-    return VaeGanGraph(x=x, eps=eps, noise=noise, z_prior=z_prior,
-                       mean=mean, logvar=logvar, x_hat=x_hat, nodes=nodes, draws=draws)
+    phases = (("l_D", "discriminator"), ("l_reconstruction", "encoder"), ("l_generator", "generator"))
+    return TrainingGraph(x, nodes, draws, phases)
 
 
-@dataclass
-class GanGraph(_TrainingGraph):
-    x: ad.Input
-    z: ad.Input
-    x_fake: ad.Node
-    nodes: dict = field(default_factory=dict)
-    draws: tuple = ()
-
-    phases: ClassVar[tuple] = (("d_loss", "discriminator"), ("g_loss", "generator"))
-
-
-def build_gan_graph(model: GanModel) -> GanGraph:
+def build_gan_graph(model: GanModel) -> TrainingGraph:
     x = ad.Input("x")
     z = ad.Input("z")
-    x_fake = model.generator.build(z)
     g_loss, d_loss = vanilla_gan_losses(
-        model.discriminator.build(x), model.discriminator.build(x_fake)
+        model.discriminator.build(x), model.discriminator.build(model.generator.build(z))
     )
-    return GanGraph(x=x, z=z, x_fake=x_fake, nodes={"g_loss": g_loss, "d_loss": d_loss},
-                    draws=((z, (model.arch.latent_dim,)),))
+    return TrainingGraph(x, {"g_loss": g_loss, "d_loss": d_loss}, ((z, (model.arch.latent_dim,)),),
+                         (("d_loss", "discriminator"), ("g_loss", "generator")))
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +447,37 @@ def save_checkpoint(
         np.savez(fh, **arrays)
 
 
+def _optional_dict(v) -> bool:
+    return v is None or isinstance(v, dict)
+
+
+def _norm_meta_ok(v) -> bool:
+    if v is None:
+        return True
+    if not (isinstance(v, dict) and isinstance(v.get("kind"), str)):
+        return False
+    lo, hi = v.get("norm_min"), v.get("norm_max")
+    return _is_number(lo) and _is_number(hi) and -np.inf < lo < hi < np.inf
+
+
+#: meta key -> (test of its JSON value, what the value must be)
+_META_TYPES = {
+    "seed": (_is_count, "a non-negative integer"),
+    "epoch": (_is_count, "a non-negative integer"),
+    "step": (_is_count, "a non-negative integer"),
+    "adam_steps": (
+        lambda v: isinstance(v, dict) and all(map(_is_count, v.values())),
+        "an object of non-negative integers",
+    ),
+    "rng_state": (_optional_dict, "null or an object"),
+    "norm_meta": (_norm_meta_ok, "null or an object with finite norm_min < norm_max and a string kind"),
+    "train_cfg": (_optional_dict, "null or an object"),
+}
+
+
 def load_checkpoint(path) -> Checkpoint:
-    """Read a save_checkpoint file; a missing, unreadable or foreign file
-    raises DataError."""
+    """Read a save_checkpoint file; a missing, unreadable or foreign file, or
+    metadata of the wrong type, raises DataError."""
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
@@ -480,6 +490,11 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataError(f"{path}: not a {CHECKPOINT_SCHEMA} file")
         if meta["kind"] not in _MODELS:
             raise DataError(f"{path}: unknown model kind {meta['kind']!r}")
+        for key, (ok, what) in _META_TYPES.items():
+            if not ok(meta[key]):
+                raise DataError(f"{path}: meta {key} must be {what}, got {meta[key]!r}")
+        if meta["rng_state"] is not None:
+            rng_from_state(meta["rng_state"])
         return Checkpoint(
             kind=meta["kind"],
             arch=ArchConfig.from_dict(meta["arch"]),
@@ -489,10 +504,10 @@ def load_checkpoint(path) -> Checkpoint:
             params=groups["param"],
             moments1=groups["m1"],
             moments2=groups["m2"],
-            adam_steps={k: int(v) for k, v in meta.get("adam_steps", {}).items()},
-            rng_state=meta.get("rng_state"),
-            norm_meta=meta.get("norm_meta"),
-            train_cfg=meta.get("train_cfg"),
+            adam_steps=meta["adam_steps"],
+            rng_state=meta["rng_state"],
+            norm_meta=meta["norm_meta"],
+            train_cfg=meta["train_cfg"],
         )
     except FileNotFoundError:
         raise DataError(f"checkpoint not found: {path}")
@@ -501,20 +516,26 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint):
-    """Rebuild the model class and overwrite every Param from the checkpoint."""
+    """Rebuild the model class and overwrite every Param from the checkpoint.
+
+    Each value and both Adam moments must be float64 arrays of exactly the
+    Param's shape; anything else raises DataError.
+    """
     init_rng = np.random.default_rng(0)  # throwaway; values are overwritten
     model = _MODELS[ckpt.kind](ckpt.arch, init_rng)
     live = all_params(model)
     if set(live) != set(ckpt.params):
         missing = set(live) ^ set(ckpt.params)
         raise DataError(f"checkpoint/model param mismatch: {sorted(missing)}")
-    try:
-        for name, p in live.items():
-            p.value[...] = ckpt.params[name]
-            p.moment1[...] = ckpt.moments1[name]
-            p.moment2[...] = ckpt.moments2[name]
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"checkpoint arrays do not fit the model: {exc}")
+    slots = (("value", ckpt.params), ("moment1", ckpt.moments1), ("moment2", ckpt.moments2))
+    for name, p in live.items():
+        for slot, saved in slots:
+            arr = saved.get(name)
+            if arr is None or arr.dtype != np.float64 or arr.shape != p.value.shape:
+                got = "nothing" if arr is None else f"{arr.dtype} {arr.shape}"
+                raise DataError(f"checkpoint arrays do not fit the model: {name} {slot} is {got}, "
+                                f"expected float64 {p.value.shape}")
+            getattr(p, slot)[...] = arr
     return model
 
 
@@ -526,6 +547,11 @@ def _jsonable_rng_state(rng: np.random.Generator | None):
 
 
 def rng_from_state(state: dict) -> np.random.Generator:
+    """A Generator at a saved bit-generator state; a state numpy rejects
+    raises DataError."""
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
+    try:
+        rng.bit_generator.state = state
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        raise DataError(f"checkpoint rng_state is unusable ({type(exc).__name__}: {exc})")
     return rng

@@ -141,17 +141,15 @@ def test_criterion_2_gradient_correctness():
     arch = nets.ArchConfig(seq_len=16, latent_dim=4, channels=3, kernel_size=3, dilations=(1, 2))
     model = nets.VaeGanModel(arch, rng)
     graph = nets.build_vaegan_graph(model)
-    bind = {
-        graph.x: rng.uniform(0, 1, size=(2, 1, 16)),
-        graph.eps: rng.standard_normal((2, 4)),
-        graph.noise: rng.standard_normal((2, 1, 16)),
-    }
+    bind = {graph.x: rng.uniform(0, 1, size=(2, 1, 16))}
+    for node, shape in graph.draws:
+        bind[node] = rng.standard_normal((2,) + shape)
     ad.forward(graph.nodes["l_generator"], bind)
     for p in model.encoder.params() + model.generator.params():
-        assert ad.grad_check(graph.nodes["l_generator"], p, step=1e-4) < 1e-3, p.name
+        assert ad.grad_check(graph.nodes["l_generator"], p, bind, step=1e-4) < 1e-3, p.name
     ad.forward(graph.nodes["l_D"], bind)
     for p in model.discriminator.params():
-        assert ad.grad_check(graph.nodes["l_D"], p, step=1e-4) < 1e-3, p.name
+        assert ad.grad_check(graph.nodes["l_D"], p, bind, step=1e-4) < 1e-3, p.name
 
     wall = time.perf_counter() - t0
     assert wall < 60.0, f"criterion 2 took {wall:.1f}s (limit 60s)"

@@ -12,6 +12,7 @@ from gridsynth.config import RunConfig, config_hash, load_run_config, run_dir
 from gridsynth.errors import UsageError
 
 from test_datapipe import corrupt_matrix_csv, insert_non_utf8
+from test_nets import rewrite_checkpoint
 
 # RunConfig keys read by the pipeline itself rather than mirrored into
 # TrainConfig / ArchConfig / MetricsConfig
@@ -271,6 +272,18 @@ class TestMalformedArtifacts:
         assert cli.main(["train", "--config", str(cfg_path), "--resume", str(garbage)]) == 2
         assert "garbage.npz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("rng_state", None), ("rng_state", {"bit_generator": "PCG64"}), ("epoch", "1"),
+    ], ids=["rng_state_null", "rng_state_without_state", "epoch_string"])
+    def test_resume_checkpoint_with_mistyped_meta_is_2(self, workspace, capsys, key, value):
+        _, cfg_path = workspace
+        assert cli.main(["ingest", "--config", str(cfg_path)]) == 0
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = run_dir(load_run_config(cfg_path)) / cli.CHECKPOINT
+        rewrite_checkpoint(ckpt, **{key: value})
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg_path), "--resume", str(ckpt)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_resume_from_other_model_kind_is_2(self, workspace, capsys):
         _, cfg_path = workspace

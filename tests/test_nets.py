@@ -6,14 +6,33 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridsynth import autodiff as ad
 from gridsynth import nets
 from gridsynth.errors import DataError
 
 from oracles import zero_fill_backward
+from test_autodiff import _const
 
 TINY = nets.ArchConfig(seq_len=16, latent_dim=4, channels=3, kernel_size=3, dilations=(1, 2))
+
+
+def rewrite_checkpoint(path, arrays=None, **meta_changes):
+    """Rewrite a checkpoint .npz in place with some arrays and top-level meta
+    values replaced."""
+    with np.load(path) as data:
+        contents = {key: data[key] for key in data.files}
+    meta = json.loads(str(contents["meta"]))
+    meta.update(meta_changes)
+    contents.update(arrays or {}, meta=np.array(json.dumps(meta)))
+    np.savez(path, **contents)
+
+
+def _draws(graph, rng, batch):
+    """Bindings of a training graph's standard-normal Inputs, drawn in the
+    graph's order as the trainer draws them."""
+    return {node: rng.standard_normal((batch,) + shape) for node, shape in graph.draws}
 
 
 @pytest.fixture
@@ -62,42 +81,42 @@ class TestLossValues:
         return float(ad.forward(node, bindings or {}))
 
     def test_prior_zero_at_standard_normal(self):
-        mean = ad.Constant(np.zeros((2, 3)))
-        logvar = ad.Constant(np.zeros((2, 3)))
+        mean = _const(np.zeros((2, 3)))
+        logvar = _const(np.zeros((2, 3)))
         assert self.scalar(ad.GaussianKl(mean, logvar)) == 0.0
 
     def test_prior_unit_mean(self):
         # KL(N(1,1) || N(0,1)) = 0.5 per dim
-        node = ad.GaussianKl(ad.Constant([[1.0]]), ad.Constant([[0.0]]))
+        node = ad.GaussianKl(_const([[1.0]]), _const([[0.0]]))
         assert self.scalar(node) == pytest.approx(0.5, abs=1e-12)
 
     def test_prior_variance_four(self):
         # 0.5 (4 - 1 - ln 4)
-        node = ad.GaussianKl(ad.Constant([[0.0]]), ad.Constant([[math.log(4.0)]]))
+        node = ad.GaussianKl(_const([[0.0]]), _const([[math.log(4.0)]]))
         assert self.scalar(node) == pytest.approx(0.5 * (4 - 1 - math.log(4.0)), abs=1e-12)
 
     def test_prior_batch_averaged_nonnegative(self, rng):
-        mean = ad.Constant(rng.standard_normal((4, 6)))
-        logvar = ad.Constant(rng.uniform(-2, 2, size=(4, 6)))
+        mean = _const(rng.standard_normal((4, 6)))
+        logvar = _const(rng.uniform(-2, 2, size=(4, 6)))
         assert self.scalar(ad.GaussianKl(mean, logvar)) >= 0.0
 
     def test_reconstruction_perfect(self, rng):
         x = rng.uniform(0, 1, size=(2, 1, 96))
-        node = ad.Add(ad.Affine(ad.Mse(ad.Constant(x), ad.Constant(x)), 96.0), ad.Constant(0.0))
+        node = ad.Add(ad.Affine(ad.Mse(_const(x), _const(x)), 96.0), _const(0.0))
         assert self.scalar(node) == 0.0
 
     def test_reconstruction_point_one_offset(self):
         # 96 points off by 0.1 each: ||x_hat - x||^2 = 96 * 0.01 = 0.96
         x = np.zeros((1, 1, 96))
         xh = np.full((1, 1, 96), 0.1)
-        node = ad.Affine(ad.Mse(ad.Constant(xh), ad.Constant(x)), 96.0)
+        node = ad.Affine(ad.Mse(_const(xh), _const(x)), 96.0)
         assert self.scalar(node) == pytest.approx(0.96, abs=1e-12)
 
     def test_reconstruction_additivity(self, rng):
         x = rng.uniform(0, 1, size=(3, 1, 96))
         xh = rng.uniform(0, 1, size=(3, 1, 96))
-        prior = ad.Constant(0.37)
-        mse_term = ad.Affine(ad.Mse(ad.Constant(xh), ad.Constant(x)), 96.0)
+        prior = _const(0.37)
+        mse_term = ad.Affine(ad.Mse(_const(xh), _const(x)), 96.0)
         total = self.scalar(ad.Add(mse_term, prior))
         assert total - 0.37 == pytest.approx(self.scalar(mse_term), abs=1e-12)
 
@@ -106,50 +125,43 @@ class TestLossValues:
 
     def test_perfect_discriminator_on_real(self):
         # D(real) -> 1 means l_real -> 0
-        node = ad.Bce(ad.Constant([self.logits_for_prob(1 - 1e-12)]), 1.0)
+        node = ad.Bce(_const([self.logits_for_prob(1 - 1e-12)]), 1.0)
         assert self.scalar(node) < 1e-9
 
     def test_ldg_at_half(self):
-        node = ad.Bce(ad.Constant([0.0]), 1.0)
+        node = ad.Bce(_const([0.0]), 1.0)
         assert self.scalar(node) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_composite_at_half(self):
         adv = nets.adversarial_losses(
-            ad.Constant([0.0]), ad.Constant([0.0]), ad.Constant([0.0])
+            _const([0.0]), _const([0.0]), _const([0.0])
         )
         l_d = ad.Add(ad.Add(adv["l_real"], adv["l_fake"]), adv["l_noise"])
         assert self.scalar(l_d) == pytest.approx(3.0 * math.log(2.0), abs=1e-12)
 
     def test_vanilla_losses(self):
-        g_loss, d_loss = nets.vanilla_gan_losses(ad.Constant([0.0]), ad.Constant([0.0]))
+        g_loss, d_loss = nets.vanilla_gan_losses(_const([0.0]), _const([0.0]))
         assert self.scalar(d_loss) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
         assert self.scalar(g_loss) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_vanilla_optimal_extremes(self):
         hi = self.logits_for_prob(1 - 1e-9)
         lo = self.logits_for_prob(1e-9)
-        _, d_loss = nets.vanilla_gan_losses(ad.Constant([hi]), ad.Constant([lo]))
+        _, d_loss = nets.vanilla_gan_losses(_const([hi]), _const([lo]))
         assert self.scalar(d_loss) < 1e-6
-        g_loss, _ = nets.vanilla_gan_losses(ad.Constant([hi]), ad.Constant([hi]))
+        g_loss, _ = nets.vanilla_gan_losses(_const([hi]), _const([hi]))
         assert self.scalar(g_loss) < 1e-6
 
     def test_all_terms_non_negative(self, rng):
         for _ in range(10):
-            logits = ad.Constant(rng.standard_normal((4, 1)) * 3)
+            logits = _const(rng.standard_normal((4, 1)) * 3)
             for label in (0.0, 1.0):
                 assert self.scalar(ad.Bce(logits, label)) >= 0.0
 
 
 class TestVaeGanGraph:
     def bindings(self, graph, rng, batch=3):
-        bind = {
-            graph.x: rng.uniform(0, 1, size=(batch, 1, 16)),
-            graph.eps: rng.standard_normal((batch, 4)),
-            graph.noise: rng.standard_normal((batch, 1, 16)),
-        }
-        if graph.z_prior is not None:
-            bind[graph.z_prior] = rng.standard_normal((batch, 4))
-        return bind
+        return {graph.x: rng.uniform(0, 1, size=(batch, 1, 16)), **_draws(graph, rng, batch)}
 
     def test_loss_identities_hold_exactly(self, vaegan, rng):
         graph = nets.build_vaegan_graph(vaegan)
@@ -172,12 +184,15 @@ class TestVaeGanGraph:
         for p in nets.all_params(vaegan).values():
             p.value += rng.standard_normal(p.value.shape)
         ad.forward(graph.nodes["l_generator"], self.bindings(graph, rng))
-        assert graph.x_hat.value.min() >= 0.0
-        assert graph.x_hat.value.max() <= 1.0
+        x_hat = graph.nodes["recon_mse"].inputs[0]
+        assert x_hat.value.min() >= 0.0
+        assert x_hat.value.max() <= 1.0
 
     def test_prior_fake_source_uses_extra_input(self, vaegan, rng):
         graph = nets.build_vaegan_graph(vaegan, fake_source="prior")
-        assert graph.z_prior is not None
+        z_prior, shape = graph.draws[-1]
+        assert len(graph.draws) == 3 and shape == (TINY.latent_dim,)
+        assert z_prior in ad.topo_order(graph.nodes["l_D"])
         ad.forward(graph.nodes["l_D"], self.bindings(graph, rng))
 
     def test_full_loss_gradient_tiny_net(self, rng):
@@ -187,16 +202,12 @@ class TestVaeGanGraph:
         for p in nets.all_params(model).values():
             p.value += rng.standard_normal(p.value.shape) * 0.1
         graph = nets.build_vaegan_graph(model)
-        bind = {
-            graph.x: rng.uniform(0, 1, size=(2, 1, 16)),
-            graph.eps: rng.standard_normal((2, 4)),
-            graph.noise: rng.standard_normal((2, 1, 16)),
-        }
+        bind = {graph.x: rng.uniform(0, 1, size=(2, 1, 16)), **_draws(graph, rng, 2)}
         ad.forward(graph.nodes["l_generator"], bind)
         for p in model.generator.params() + [model.encoder.w_mean, model.encoder.trunk.layers[0][0]]:
-            assert ad.grad_check(graph.nodes["l_generator"], p, step=1e-4) < 1e-4, p.name
+            assert ad.grad_check(graph.nodes["l_generator"], p, bind, step=1e-4) < 1e-4, p.name
         ad.forward(graph.nodes["l_D"], bind)
-        assert ad.grad_check(graph.nodes["l_D"], model.discriminator.w_head, step=1e-4) < 1e-4
+        assert ad.grad_check(graph.nodes["l_D"], model.discriminator.w_head, bind, step=1e-4) < 1e-4
 
 
 class TestDiscriminateNoise:
@@ -235,10 +246,7 @@ def _bound_training_graph(kind, rng):
         graph = nets.build_vaegan_graph(model, fake_source=kind)
     for p in nets.all_params(model).values():
         p.value += rng.standard_normal(p.value.shape) * 0.1
-    bind = {graph.x: rng.uniform(0, 1, size=(5, 1, TINY.seq_len))}
-    for node, shape in graph.draws:
-        bind[node] = rng.standard_normal((5,) + shape)
-    return model, graph, bind
+    return model, graph, {graph.x: rng.uniform(0, 1, size=(5, 1, TINY.seq_len)), **_draws(graph, rng, 5)}
 
 
 class TestLeanBackward:
@@ -340,11 +348,7 @@ class TestDTrainsOnSeparableData:
         model = nets.VaeGanModel(arch, rng)
         graph = nets.build_vaegan_graph(model)
         real = np.clip(0.9 + 0.02 * rng.standard_normal((8, 1, 16)), 0, 1)
-        bind = {
-            graph.x: real,
-            graph.eps: rng.standard_normal((8, 4)),
-            graph.noise: rng.standard_normal((8, 1, 16)),
-        }
+        bind = {graph.x: real, **_draws(graph, rng, 8)}
         opt = trainer.AdamOptimizer(
             model.discriminator.params(), lr=1e-3, beta1=0.5, beta2=0.999, eps=1e-8
         )
@@ -397,7 +401,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("damage", [
         "garbage", "truncated", "empty", "no_meta", "no_schema", "unknown_schema", "unknown_kind",
-        "zero_leaky_slope",
+        "zero_leaky_slope", "string_channels",
     ])
     def test_unreadable_file_is_data_error(self, tmp_path, gan, damage):
         path = tmp_path / "c.npz"
@@ -420,6 +424,8 @@ class TestCheckpoint:
                 meta["schema"] = "gridsynth.checkpoint/99"
             elif damage == "zero_leaky_slope":
                 meta["arch"]["leaky_slope"] = 0.0
+            elif damage == "string_channels":
+                meta["arch"]["channels"] = "3"
             else:
                 meta["kind"] = "wavenet"
             np.savez(path, meta=np.array(json.dumps(meta)))
@@ -454,3 +460,108 @@ class TestCheckpoint:
         ckpt.params["gen.out.b"] = np.zeros(3)
         with pytest.raises(DataError, match="do not fit"):
             nets.model_from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("slot", ["param", "m1", "m2"])
+    @pytest.mark.parametrize("array", [np.full(1, 0.5), np.full((2, 48, 4), 0.5), np.ones((48, 4), int)],
+                             ids=["broadcasts", "extra_axis", "int"])
+    def test_array_of_other_shape_or_dtype_is_data_error(self, tmp_path, gan, slot, array):
+        # gen.expand.w is (48, 4) at TINY; (1,) would broadcast into it
+        path = tmp_path / "c.npz"
+        nets.save_checkpoint(path, gan, seed=0)
+        rewrite_checkpoint(path, {f"{slot}/gen.expand.w": array})
+        ckpt = nets.load_checkpoint(path)
+        with pytest.raises(DataError, match="gen.expand.w"):
+            nets.model_from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("key,value", [
+        ("epoch", "1"), ("epoch", -1), ("step", 2.0), ("seed", True), ("seed", None),
+        ("adam_steps", []), ("adam_steps", {"generator": "3"}),
+        ("rng_state", 5), ("rng_state", {"bit_generator": "PCG64"}),
+        ("rng_state", {"bit_generator": "MT19937"}),
+        ("norm_meta", "load"), ("norm_meta", {"norm_min": "0", "norm_max": 1.0, "kind": "load"}),
+        ("norm_meta", {"norm_min": 0.0, "norm_max": 1.0}),
+        ("norm_meta", {"norm_min": 5.0, "norm_max": 1.0, "kind": "load"}),
+        ("norm_meta", {"norm_min": 0.0, "norm_max": float("inf"), "kind": "load"}), ("train_cfg", [1]),
+    ])
+    def test_meta_value_of_wrong_type_is_data_error(self, tmp_path, gan, key, value):
+        path = tmp_path / "c.npz"
+        nets.save_checkpoint(path, gan, seed=0, rng=np.random.default_rng(0),
+                             norm_meta={"norm_min": 0.0, "norm_max": 1.0, "kind": "load"})
+        rewrite_checkpoint(path, **{key: value})
+        with pytest.raises(DataError, match=key):
+            nets.load_checkpoint(path)
+
+    def test_unusable_rng_state_is_data_error_where_applied(self):
+        with pytest.raises(DataError, match="rng_state"):
+            nets.rng_from_state(None)
+
+
+def _json_values():
+    scalars = st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=4)
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=4)
+
+
+@pytest.fixture(scope="module")
+def good_checkpoint(tmp_path_factory):
+    """(the bytes of a TINY GAN checkpoint with every meta field set, a path to
+    write damaged copies to)."""
+    model = nets.GanModel(TINY, np.random.default_rng(5))
+    path = tmp_path_factory.mktemp("fuzz") / "c.npz"
+    nets.save_checkpoint(path, model, seed=5, epoch=2, step=6, adam_steps={"generator": 6},
+                         rng=np.random.default_rng(5), train_cfg={"epochs": 2},
+                         norm_meta={"norm_min": 0.0, "norm_max": 900.0, "kind": "load"})
+    return path.read_bytes(), path.with_name("damaged.npz")
+
+
+def _loads_or_data_error(path):
+    """Load a checkpoint as a resume does; a damaged one must raise DataError."""
+    try:
+        ckpt = nets.load_checkpoint(path)
+        nets.model_from_checkpoint(ckpt)
+        if ckpt.rng_state is not None:
+            nets.rng_from_state(ckpt.rng_state)
+    except DataError:
+        pass
+
+
+class TestCheckpointFuzz:
+    """Truncated, byte-flipped and re-typed checkpoints load or raise DataError."""
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_truncated(self, good_checkpoint, data):
+        good, path = good_checkpoint
+        path.write_bytes(good[: data.draw(st.integers(0, len(good) - 1))])
+        _loads_or_data_error(path)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_byte_flipped(self, good_checkpoint, data):
+        good, path = good_checkpoint
+        damaged = bytearray(good)
+        flips = st.tuples(st.integers(0, len(good) - 1), st.integers(1, 255))
+        for at, mask in data.draw(st.lists(flips, min_size=1, max_size=4)):
+            damaged[at] ^= mask
+        path.write_bytes(bytes(damaged))
+        _loads_or_data_error(path)
+
+    @settings(max_examples=60)
+    @given(st.sampled_from([
+        ("schema",), ("kind",), ("arch",), ("arch", "channels"), ("arch", "dilations"),
+        ("arch", "logvar_clip"), ("seed",), ("epoch",), ("step",), ("adam_steps",),
+        ("adam_steps", "generator"), ("rng_state",), ("rng_state", "state"),
+        ("rng_state", "state", "state"), ("rng_state", "bit_generator"), ("norm_meta",),
+        ("norm_meta", "norm_min"), ("norm_meta", "kind"), ("train_cfg",),
+    ]), _json_values())
+    def test_meta_value_replaced(self, good_checkpoint, where, value):
+        good, path = good_checkpoint
+        path.write_bytes(good)
+        with np.load(path) as data:
+            meta = json.loads(str(data["meta"]))
+        parent = meta
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        rewrite_checkpoint(path, **meta)
+        _loads_or_data_error(path)
