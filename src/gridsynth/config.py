@@ -7,6 +7,7 @@ settings that produced them.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -51,7 +52,7 @@ class RunConfig:
     # generation + metrics
     n_synthetic: int = 512
     bins: int = 100
-    sigma: str = "median"  # median | positive float
+    sigma: str = "median"  # median | finite positive float
     mmd_on: str = "days"  # days | pooled
     alpha_high: float = 0.9
     alpha_low: float = 0.1
@@ -93,8 +94,8 @@ class RunConfig:
                 sigma = float(self.sigma)
             except ValueError:
                 raise UsageError(f"sigma must be 'median' or a number, got {self.sigma!r}")
-            if sigma <= 0:
-                raise UsageError(f"sigma must be positive, got {sigma}")
+            if not (math.isfinite(sigma) and sigma > 0):
+                raise UsageError(f"sigma must be a finite positive number, got {sigma}")
         return self._derive(MetricsConfig, sigma=sigma)
 
     def validate(self) -> None:

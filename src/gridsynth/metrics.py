@@ -65,14 +65,15 @@ def kl_divergence(x, y, bins: int = DEFAULT_BINS, eps: float = SMOOTHING_EPS) ->
     return kl_from_masses(p, q, eps=eps)
 
 
-def median_heuristic_sigma(x, y) -> float:
+def median_heuristic_sigma(x, y, *, sq_dists_out: list | None = None) -> float:
     """Median pairwise Euclidean distance of the pooled sample (\"median
     heuristic\" bandwidth); falls back to 1.0 when every point coincides.
 
-    Vectors go through their condensed distance vector, built in row
-    blocks; scalars through an exact order statistic of sorted gaps, in
+    Vectors go through their condensed squared-distance vector, built in
+    row blocks; scalars through an exact order statistic of sorted gaps, in
     O(N) memory. Both equal np.median over the full distance matrix's upper
-    triangle bit for bit.
+    triangle bit for bit. On the vector path, the condensed vector is
+    appended to sq_dists_out if given, so that mmd_rbf can reuse it.
     """
     pooled = np.vstack([_as_2d(x), _as_2d(y)])
     if len(pooled) < 2:
@@ -80,7 +81,10 @@ def median_heuristic_sigma(x, y) -> float:
     if pooled.shape[1] == 1:
         med = _median_gap(np.sort(pooled[:, 0]))
     else:
-        med = float(np.median(np.sqrt(np.concatenate(list(_upper_sq_dists(pooled))))))
+        sq = np.concatenate(list(_upper_sq_dists(pooled)))
+        if sq_dists_out is not None:
+            sq_dists_out.append(sq)
+        med = float(np.median(np.sqrt(sq)))
     return med if med > 0 else 1.0
 
 
@@ -96,19 +100,51 @@ def _as_2d(x) -> np.ndarray:
 
 
 # Each row block of pairwise squared distances holds about this many float64
-# values, which bounds the temporaries at a few times 16 MB for any N.
+# values, which bounds the temporaries at about 16 MB for any N.
 _BLOCK_VALUES = 1 << 21
+
+
+def _block_rows(b) -> int:
+    return max(1, _BLOCK_VALUES // max(1, b.shape[0] * b.shape[1]))
 
 
 def _sq_dist_blocks(a, b, upper=False):
     """Yield d2 for consecutive row blocks a[lo:lo + r]: d2[k, j] is the
     squared Euclidean distance between a[lo + k] and b[j], or, with
     upper=True (b is a), b[lo + 1 + j], so that row k's pairs above the
-    diagonal are d2[k, k:]."""
-    rows = max(1, _BLOCK_VALUES // max(1, b.shape[0] * b.shape[1]))
+    diagonal are d2[k, k:].
+
+    The caller may overwrite each d2. Scalar blocks all live in one buffer,
+    so each is valid only until the next one is yielded.
+    """
+    rows = _block_rows(b)
+    scalar = b.shape[1] == 1
+    if scalar:
+        buf = np.empty(min(rows, a.shape[0]) * b.shape[0])
     for lo in range(0, a.shape[0], rows):
+        blk = a[lo : lo + rows]
         cols = b[lo + 1 :] if upper else b
-        yield ((a[lo : lo + rows, None, :] - cols[None, :, :]) ** 2).sum(axis=2)
+        if scalar:
+            d2 = buf[: blk.shape[0] * cols.shape[0]].reshape(blk.shape[0], cols.shape[0])
+            np.subtract.outer(blk[:, 0], cols[:, 0], out=d2)
+            yield np.multiply(d2, d2, out=d2)
+        else:
+            yield ((blk[:, None, :] - cols[None, :, :]) ** 2).sum(axis=2)
+
+
+def _shared_sq_dist_blocks(sq, n_pooled, a, b, a0, b0):
+    """_sq_dist_blocks(a, b) for a and b stacked at rows a0 and b0 of a
+    pooled sample of n_pooled rows, gathered from that sample's condensed
+    squared distances sq (pairs i < j in np.triu_indices order) instead of
+    recomputed. The blocks have the same shapes and the same bits."""
+    cols = np.arange(b0, b0 + b.shape[0])
+    rows = _block_rows(b)
+    for lo in range(a0, a0 + a.shape[0], rows):
+        i = np.arange(lo, min(lo + rows, a0 + a.shape[0]))[:, None]
+        p, q = np.minimum(i, cols), np.maximum(i, cols)
+        d2 = sq.take(p * (2 * n_pooled - p - 3) // 2 + q - 1)
+        d2[p == q] = 0.0
+        yield d2
 
 
 def _upper_sq_dists(p):
@@ -158,27 +194,39 @@ def _gaps_at_most(xs, t) -> int:
     return int((end - i - 1).sum())
 
 
-def mmd_rbf(x, y, sigma: float) -> float:
+def mmd_rbf(x, y, sigma: float, *, sq_dists=None) -> float:
     """Biased (V-statistic) RBF-kernel maximum mean discrepancy.
 
     All three double sums keep their diagonal terms; returns
     sqrt(max(0, MMD^2)) with kernel exp(-||a-b||^2 / (2 sigma^2)).
+    Vectors read their distances from the condensed squared-distance vector
+    of np.vstack([x, y]): sq_dists, the one median_heuristic_sigma built,
+    if given, else one built here.
     """
-    if sigma <= 0:
-        raise DataError(f"sigma must be positive, got {sigma}")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise DataError(f"sigma must be a finite positive number, got {sigma}")
     xs, ys = _as_2d(x), _as_2d(y)
     if xs.shape[0] == 0 or ys.shape[0] == 0:
         raise DataError("mmd inputs must be non-empty")
     if xs.shape[1] != ys.shape[1]:
         raise DataError(f"sample dimensions differ: {xs.shape[1]} vs {ys.shape[1]}")
+    n, m = xs.shape[0], ys.shape[0]
+    if xs.shape[1] > 1 and sq_dists is None:
+        sq_dists = np.concatenate(list(_upper_sq_dists(np.vstack([xs, ys]))))
+    scale = -(2.0 * sigma**2)
 
-    def kernel_mean(a, b):
+    def kernel_mean(a, b, a0, b0):
+        if a.shape[1] == 1:
+            blocks = _sq_dist_blocks(a, b)
+        else:
+            blocks = _shared_sq_dist_blocks(sq_dists, n + m, a, b, a0, b0)
         total = 0.0
-        for d2 in _sq_dist_blocks(a, b):
-            total += np.exp(-d2 / (2.0 * sigma**2)).sum()
+        for d2 in blocks:
+            np.divide(d2, scale, out=d2)
+            total += np.exp(d2, out=d2).sum()
         return float(total / (a.shape[0] * b.shape[0]))
 
-    mmd2 = kernel_mean(xs, xs) - 2.0 * kernel_mean(xs, ys) + kernel_mean(ys, ys)
+    mmd2 = kernel_mean(xs, xs, 0, 0) - 2.0 * kernel_mean(xs, ys, 0, n) + kernel_mean(ys, ys, n, n)
     return float(np.sqrt(max(0.0, mmd2)))
 
 
@@ -372,15 +420,16 @@ def full_report(
         my = _cap_samples(pooled_synth, MAX_POOLED_MMD_SAMPLES)
     else:
         raise DataError(f"mmd_on must be 'days' or 'pooled', got {cfg.mmd_on!r}")
+    shared = []  # days mode: the bandwidth's pairwise distances serve MMD too
     if isinstance(cfg.sigma, str):
         if cfg.sigma != "median":
             raise DataError(f"sigma must be 'median' or a number, got {cfg.sigma!r}")
-        sigma = median_heuristic_sigma(mx, my)
+        sigma = median_heuristic_sigma(mx, my, sq_dists_out=shared)
         sigma_mode = "median"
     else:
         sigma = float(cfg.sigma)
         sigma_mode = "fixed"
-    mmd = mmd_rbf(mx, my, sigma)
+    mmd = mmd_rbf(mx, my, sigma, sq_dists=shared[0] if shared else None)
 
     return MetricsReport(
         kl=kl,

@@ -86,6 +86,26 @@ def mmd_rbf_tensor(x, y, sigma):
     return float(np.sqrt(max(0.0, mmd2)))
 
 
+def mmd_rbf_blocked(x, y, sigma, block_values):
+    """Biased RBF MMD in the plain blocked form: each row block of about
+    block_values pairwise differences is one fresh (r, M, D) tensor, squared
+    and summed over D, and the block's kernel values
+    np.exp(-d2 / (2 sigma^2)) are summed at once; the block sums add up in
+    row order."""
+    xs, ys = _rows(x), _rows(y)
+
+    def kernel_mean(a, b):
+        rows = max(1, block_values // max(1, b.shape[0] * b.shape[1]))
+        total = 0.0
+        for lo in range(0, a.shape[0], rows):
+            d2 = ((a[lo : lo + rows, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+            total += np.exp(-d2 / (2.0 * sigma**2)).sum()
+        return float(total / (a.shape[0] * b.shape[0]))
+
+    mmd2 = kernel_mean(xs, xs) - 2.0 * kernel_mean(xs, ys) + kernel_mean(ys, ys)
+    return float(np.sqrt(max(0.0, mmd2)))
+
+
 def mode_collapsed_tensor(profiles, tol=1e-6):
     """All pairwise L2 distances below tol, over the full (N, N, 96) tensor."""
     p = np.asarray(profiles, dtype=float)

@@ -119,6 +119,26 @@ class TestConfig:
         assert cli.main(["ingest", "--config", str(cfg_path)]) == 1
         assert "leaky_slope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-2"])
+    def test_sigma_not_finite_positive_is_usage_error(self, workspace, sigma):
+        tmp_path, _ = workspace
+        cfg_path = write_config(tmp_path, tmp_path / "house.csv", sigma=sigma)
+        with pytest.raises(UsageError, match="finite positive"):
+            load_run_config(cfg_path)
+
+    def test_evaluate_with_nan_sigma_is_1_and_writes_no_report(self, workspace, capsys):
+        _, cfg_path = workspace
+        assert cli.main(["ingest", "--config", str(cfg_path)]) == 0
+        rd = run_dir(load_run_config(cfg_path))
+        matrix_path = str(rd / cli.DAYMATRIX_CSV)
+        config_txt = (rd / "config.txt").read_bytes()
+        capsys.readouterr()
+        argv = ["evaluate", "--config", str(cfg_path), "--sigma", "nan", matrix_path, matrix_path]
+        assert cli.main(argv) == 1
+        assert "sigma" in capsys.readouterr().err
+        assert not (rd / cli.REPORT_JSON).exists()
+        assert (rd / "config.txt").read_bytes() == config_txt
+
     def test_defaults_documented_in_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["ingest", "--help"])

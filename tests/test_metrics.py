@@ -16,6 +16,7 @@ from oracles import (
     mean_std_oracle,
     median_sigma_tensor,
     mmd_oracle,
+    mmd_rbf_blocked,
     mmd_rbf_tensor,
     spike_day,
     trapezoid_day,
@@ -91,6 +92,15 @@ class TestMmd:
     def test_non_positive_sigma_rejected(self):
         with pytest.raises(DataError):
             M.mmd_rbf([0.0], [1.0], 0.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # max(0, nan) is 0, so a non-finite bandwidth would report a perfect match
+        with pytest.raises(DataError, match="finite"):
+            M.mmd_rbf([0.0], [1.0], sigma)
+        days = np.random.default_rng(5).uniform(0, 900, size=(20, 96))
+        with pytest.raises(DataError, match="finite"):
+            M.full_report(days, days[::-1] + 50.0, M.MetricsConfig(sigma=sigma))
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(202)
@@ -221,6 +231,106 @@ class TestMedianHeuristic:
             M.median_heuristic_sigma([0.0, bad], [1.0])
         with pytest.raises(DataError, match="finite"):
             M.median_heuristic_sigma([[0.0, bad]], [[1.0, 2.0]])
+
+
+def mmd_cases(rng, kind, count):
+    """(x, y) pairs of one heuristic_samples kind: scalars as 1-D arrays and
+    vectors of 2, 5 or 96 dims, with either side sometimes one sample."""
+    for i in range(count):
+        d = (1, 2, 5, 96)[i % 4]
+        n, m = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+        if i % 5 == 0:
+            n = 1
+        elif i % 5 == 1:
+            m = 1
+        x, y = heuristic_samples(rng, kind, n * d), heuristic_samples(rng, kind, m * d)
+        yield (x, y) if d == 1 else (x.reshape(n, d), y.reshape(m, d))
+
+
+class TestMmdBits:
+    """mmd_rbf equals, bit for bit, the blocked-tensor formula it replaced."""
+
+    @pytest.mark.parametrize("block_values", [None, 50, 7])
+    @pytest.mark.parametrize("kind", HEURISTIC_KINDS)
+    def test_matches_blocked_tensor_form(self, kind, block_values, monkeypatch):
+        if block_values:
+            monkeypatch.setattr(M, "_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(300 + HEURISTIC_KINDS.index(kind))
+        for x, y in mmd_cases(rng, kind, 20):
+            for sigma in (M.median_heuristic_sigma(x, y), float(rng.uniform(0.5, 50.0))):
+                want = mmd_rbf_blocked(x, y, sigma, M._BLOCK_VALUES)
+                assert same_bits(M.mmd_rbf(x, y, sigma), want)
+
+    @pytest.mark.parametrize("block_values", [None, 50, 7])
+    @pytest.mark.parametrize("kind", HEURISTIC_KINDS)
+    def test_shared_distances_match_blocked_tensor_form(self, kind, block_values, monkeypatch):
+        if block_values:
+            monkeypatch.setattr(M, "_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(400 + HEURISTIC_KINDS.index(kind))
+        for x, y in mmd_cases(rng, kind, 20):
+            shared = []
+            sigma = M.median_heuristic_sigma(x, y, sq_dists_out=shared)
+            assert same_bits(sigma, M.median_heuristic_sigma(x, y))
+            if x.ndim == 1:
+                assert not shared  # scalars take the sorted-gap path
+                continue
+            want = mmd_rbf_blocked(x, y, sigma, M._BLOCK_VALUES)
+            assert same_bits(M.mmd_rbf(x, y, sigma, sq_dists=shared[0]), want)
+
+    @pytest.mark.parametrize("mmd_on", ["days", "pooled"])
+    @pytest.mark.parametrize("block_values", [None, 50, 7])
+    def test_full_report_matches_separate_calls(self, mmd_on, block_values, monkeypatch):
+        if block_values:
+            monkeypatch.setattr(M, "_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(17)
+        for kind in HEURISTIC_KINDS:
+            real = heuristic_samples(rng, kind, 9 * 96).reshape(9, 96)
+            synt = heuristic_samples(rng, kind, 14 * 96).reshape(14, 96)
+            report = M.full_report(real, synt, M.MetricsConfig(mmd_on=mmd_on))
+            mx, my = (real, synt) if mmd_on == "days" else (real.ravel(), synt.ravel())
+            sigma = M.median_heuristic_sigma(mx, my)
+            assert same_bits(report.config["sigma"], sigma)
+            assert same_bits(report.mmd, M.mmd_rbf(mx, my, sigma))
+            assert same_bits(report.mmd, mmd_rbf_blocked(mx, my, sigma, M._BLOCK_VALUES))
+
+    @pytest.mark.parametrize("sigma", ["median", 250.0])
+    def test_days_mode_computes_distances_once(self, rng, monkeypatch, sigma):
+        # one upper-triangle pass: with the median bandwidth MMD reads the
+        # distances the bandwidth computed, with a fixed sigma it makes them
+        calls = []
+        blocks = M._sq_dist_blocks
+        monkeypatch.setattr(M, "_sq_dist_blocks",
+                            lambda a, b, upper=False: calls.append(upper) or blocks(a, b, upper))
+        real, synt = rng.uniform(0, 900, size=(12, 96)), rng.uniform(0, 900, size=(9, 96))
+        M.full_report(real, synt, M.MetricsConfig(sigma=sigma))
+        assert calls == [True]
+
+    def test_realistic_sizes_default_blocks(self, rng):
+        # a year of real days against the default 512 synthetic ones: many
+        # row blocks per kernel mean, both in days and in pooled mode
+        real = rng.uniform(0, 3000, size=(365, 96))
+        synt = np.round(rng.uniform(0, 3000, size=(512, 96)), 2)
+        report = M.full_report(real, synt)
+        want = mmd_rbf_blocked(real, synt, report.config["sigma"], M._BLOCK_VALUES)
+        assert same_bits(report.mmd, want)
+        mx = M._cap_samples(real.ravel(), M.MAX_POOLED_MMD_SAMPLES)
+        my = M._cap_samples(synt.ravel(), M.MAX_POOLED_MMD_SAMPLES)
+        report = M.full_report(real, synt, M.MetricsConfig(mmd_on="pooled"))
+        want = mmd_rbf_blocked(mx, my, report.config["sigma"], M._BLOCK_VALUES)
+        assert same_bits(report.mmd, want)
+
+    def test_pooled_peak_memory(self, rng):
+        # one reused (512, 4096) block buffer is ~16 MB; an (r, m, 1) difference
+        # tensor plus fresh kernel temporaries per block would be ~50 MB
+        x = rng.uniform(0, 3000, size=M.MAX_POOLED_MMD_SAMPLES)
+        y = rng.uniform(0, 3000, size=M.MAX_POOLED_MMD_SAMPLES)
+        tracemalloc.start()
+        try:
+            M.mmd_rbf(x, y, 300.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
 
 
 class TestWasserstein:
