@@ -11,11 +11,11 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import UsageError
-from .datapipe import read_kv_file
+from .errors import DataError, UsageError
+from .datapipe import check_completeness, read_kv_file, replaced_on_success, resolve_timezone
 from .nets import ArchConfig
 from .trainer import TrainConfig
-from .metrics import MetricsConfig
+from .metrics import MetricsConfig, check_alphas
 
 
 @dataclass
@@ -96,6 +96,10 @@ class RunConfig:
                 raise UsageError(f"sigma must be 'median' or a number, got {self.sigma!r}")
             if not (math.isfinite(sigma) and sigma > 0):
                 raise UsageError(f"sigma must be a finite positive number, got {sigma}")
+        try:
+            check_alphas(self.alpha_high, self.alpha_low)
+        except DataError as exc:
+            raise UsageError(str(exc))
         return self._derive(MetricsConfig, sigma=sigma)
 
     def validate(self) -> None:
@@ -109,6 +113,11 @@ class RunConfig:
             raise UsageError(f"bins must be >= 1, got {self.bins}")
         if self.n_synthetic < 1:
             raise UsageError(f"n_synthetic must be >= 1, got {self.n_synthetic}")
+        try:
+            resolve_timezone(self.timezone)
+            check_completeness(self.day_completeness)
+        except DataError as exc:
+            raise UsageError(str(exc))
         self.arch_config()
         self.train_config()
         self.metrics_config()
@@ -171,7 +180,8 @@ def run_dir(cfg: RunConfig) -> Path:
 
 
 def write_effective_config(cfg: RunConfig, path) -> None:
-    Path(path).write_text("\n".join(config_lines(cfg)) + "\n", encoding="utf-8")
+    with replaced_on_success(path) as tmp:
+        tmp.write_text("\n".join(config_lines(cfg)) + "\n", encoding="utf-8")
 
 
 def describe_defaults() -> str:

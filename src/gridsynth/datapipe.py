@@ -10,9 +10,10 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone, tzinfo
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +166,8 @@ def resample(series: TimeSeries, target_period_minutes: int = 15) -> TimeSeries:
 
     The output grid is aligned to multiples of the target period and is
     contiguous from the first to the last covered window, so gap windows are
-    explicit NaN entries rather than missing rows.
+    explicit NaN entries rather than missing rows. A window holding a NaN
+    sample sums to NaN, so it stays a gap.
     """
     target_s = target_period_minutes * 60
     source_s = series.period_minutes * 60
@@ -180,62 +182,33 @@ def resample(series: TimeSeries, target_period_minutes: int = 15) -> TimeSeries:
     win = series.timestamps // target_s
     first, last = int(win[0]), int(win[-1])
     n_out = last - first + 1
-    sums = np.zeros(n_out)
-    counts = np.zeros(n_out, dtype=np.int64)
-    bad = np.zeros(n_out, dtype=bool)  # window contains a NaN source sample
-    idx = (win - first).astype(np.int64)
-    nan_mask = np.isnan(series.values)
-    bad[idx[nan_mask]] = True
-    np.add.at(sums, idx[~nan_mask], series.values[~nan_mask])
-    np.add.at(counts, idx[~nan_mask], 1)
-    out = np.full(n_out, np.nan)
-    full = (counts == per_window) & ~bad
-    out[full] = sums[full] / per_window
+    idx = win - first
+    sums = np.bincount(idx, weights=series.values, minlength=n_out)
+    counts = np.bincount(idx, minlength=n_out)
+    out = np.where(counts == per_window, sums / per_window, np.nan)
     out_ts = (np.arange(first, last + 1, dtype=np.int64)) * target_s
     return TimeSeries(out_ts, out, target_period_minutes)
 
 
-def _day_key_and_slot(ts: np.ndarray, tz: str) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Map epoch seconds to (local day ordinal, slot index) plus day labels."""
-    offset = _fixed_offset_seconds(tz)
-    if offset is not None:
-        local = ts + offset
-        day = local // 86400
-        slot = (local % 86400) // (SLOT_MINUTES * 60)
-        labels = {
-            int(d): (datetime(1970, 1, 1) + timedelta(days=int(d))).strftime("%Y-%m-%d")
-            for d in np.unique(day)
-        }
-        return day, slot, labels
-    # IANA zone: per-timestamp conversion (DST days then simply come out
-    # incomplete and are dropped by the completeness rule)
-    from zoneinfo import ZoneInfo
-
-    zone = ZoneInfo(tz)
-    day = np.empty(len(ts), dtype=np.int64)
-    slot = np.empty(len(ts), dtype=np.int64)
-    labels: dict[int, str] = {}
-    for i, t in enumerate(ts):
-        dt = datetime.fromtimestamp(int(t), tz=zone)
-        ordinal = dt.toordinal()
-        day[i] = ordinal
-        slot[i] = (dt.hour * 60 + dt.minute) // SLOT_MINUTES
-        labels.setdefault(ordinal, dt.strftime("%Y-%m-%d"))
-    return day, slot, labels
-
-
-def _fixed_offset_seconds(tz: str) -> int | None:
+def resolve_timezone(tz: str) -> tzinfo:
+    """The tzinfo of a `timezone` setting: `UTC`, `Z` (any case) or empty is
+    UTC; `[+-]HH:MM` is a fixed offset, under 24 h with minutes below 60;
+    anything else must be an IANA zone name. Other values raise DataError."""
     if tz.upper() in ("UTC", "Z", ""):
-        return 0
-    sign = 1
-    body = tz
-    if tz.startswith(("+", "-")):
-        sign = -1 if tz[0] == "-" else 1
-        body = tz[1:]
-    if ":" in body and all(part.isdigit() for part in body.split(":")):
-        hh, mm = body.split(":")
-        return sign * (int(hh) * 3600 + int(mm) * 60)
-    return None
+        return timezone.utc
+    fixed = re.fullmatch(r"([+-]?)(\d+):(\d+)", tz)
+    if fixed:
+        sign, hours, minutes = fixed.group(1), int(fixed.group(2)), int(fixed.group(3))
+        if hours > 23 or minutes > 59:
+            raise DataError(f"timezone offset {tz!r} must be under 24:00 with minutes below 60")
+        offset = timedelta(hours=hours, minutes=minutes)
+        return timezone(-offset if sign == "-" else offset)
+    from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
+
+    try:
+        return ZoneInfo(tz)
+    except (ZoneInfoNotFoundError, ValueError, OSError):
+        raise DataError(f"unknown timezone {tz!r} (expected UTC, [+-]HH:MM or an IANA name)")
 
 
 def clean_days(
@@ -244,36 +217,56 @@ def clean_days(
     completeness: float = 1.0,
     kind: str = "load",
 ) -> DayMatrix:
-    """Keep calendar days whose 96 slots are all present and gap-free.
+    """Keep local calendar days whose 96 slots are all present and gap-free.
+
+    Days are calendar days in `tz` (see resolve_timezone); a reading falls in
+    the slot of its local wall time. A spring-forward day lacks the skipped
+    slots, so it is incomplete. A fall-back day repeats local slots, each
+    keeping its later reading, so it can be complete.
 
     completeness below 1.0 relaxes the rule: a day with at least that
     fraction of slots present is kept and its missing slots take the nearest
-    present value within the day. The default keeps only complete days.
+    present value within the day, the earlier one on a tie. The default
+    keeps only complete days.
     """
     if series.period_minutes != SLOT_MINUTES:
         raise DataError(f"clean_days expects a {SLOT_MINUTES}-minute series")
+    check_completeness(completeness)
+    zone = resolve_timezone(tz)
+    fixed = zone.utcoffset(None)
+    if fixed is not None:
+        offset = int(fixed.total_seconds())
+    else:
+        # the zone's offset changes (DST), so look it up for every stamp
+        offset = np.array([
+            int(datetime.fromtimestamp(t, zone).utcoffset().total_seconds())
+            for t in series.timestamps.tolist()
+        ], dtype=np.int64)
+    # cell: local 15-minute slots since the epoch (day = cell // 96, slot =
+    # cell % 96). In reversed time order np.unique's first index of a cell is
+    # its later reading, the one a fall-back day's repeated hour keeps.
+    local_cell = (series.timestamps + offset) // (SLOT_MINUTES * 60)
+    cell, later = np.unique(local_cell[::-1], return_index=True)
+    days, row = np.unique(cell // SLOTS_PER_DAY, return_inverse=True)
+    grid = np.full((len(days), SLOTS_PER_DAY), np.nan)
+    grid[row, cell % SLOTS_PER_DAY] = series.values[::-1][later]
+    present = np.isfinite(grid)
+    keep = present.sum(axis=1) >= math.ceil(completeness * SLOTS_PER_DAY)
+    if not keep.any():
+        raise DataError("no complete day after cleansing")
+    values, present = grid[keep], present[keep]
+    for r in np.flatnonzero(~present.all(axis=1)):
+        have, miss = np.flatnonzero(present[r]), np.flatnonzero(~present[r])
+        values[r, miss] = values[r, have[np.argmin(np.abs(miss[:, None] - have), axis=1)]]
+    epoch = datetime(1970, 1, 1)
+    dates = [(epoch + timedelta(days=int(d))).strftime("%Y-%m-%d") for d in days[keep]]
+    return DayMatrix(values, kind=kind, dates=dates)
+
+
+def check_completeness(completeness: float) -> None:
+    """The `day_completeness` rule: a fraction in (0, 1]."""
     if not 0.0 < completeness <= 1.0:
         raise DataError(f"completeness must be in (0, 1], got {completeness}")
-    day, slot, labels = _day_key_and_slot(series.timestamps, tz)
-    rows: list[np.ndarray] = []
-    dates: list[str] = []
-    min_present = math.ceil(completeness * SLOTS_PER_DAY)
-    for d in np.unique(day):
-        mask = day == d
-        profile = np.full(SLOTS_PER_DAY, np.nan)
-        profile[slot[mask]] = series.values[mask]
-        present = np.flatnonzero(np.isfinite(profile))
-        if present.size < min_present:
-            continue
-        if present.size < SLOTS_PER_DAY:
-            missing = np.flatnonzero(~np.isfinite(profile))
-            nearest = present[np.argmin(np.abs(missing[:, None] - present[None, :]), axis=1)]
-            profile[missing] = profile[nearest]
-        rows.append(profile)
-        dates.append(labels[int(d)])
-    if not rows:
-        raise DataError("no complete day after cleansing")
-    return DayMatrix(np.vstack(rows), kind=kind, dates=dates)
 
 
 def normalize(matrix: DayMatrix) -> DayMatrix:

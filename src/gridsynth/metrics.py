@@ -285,6 +285,11 @@ def load_shape(day, alpha_high: float = 0.9, alpha_low: float = 0.1) -> DayShape
 def _check_days(days, alpha_high: float, alpha_low: float) -> None:
     if days.shape[-1] == 0 or not np.all(np.isfinite(days)):
         raise DataError("day profile must be non-empty and finite")
+    check_alphas(alpha_high, alpha_low)
+
+
+def check_alphas(alpha_high: float, alpha_low: float) -> None:
+    """The load-shape band rule: 0 < alpha_low < alpha_high <= 1."""
     if not 0.0 < alpha_low < alpha_high <= 1.0:
         raise DataError(f"need 0 < alpha_low < alpha_high <= 1, got {alpha_low}, {alpha_high}")
 

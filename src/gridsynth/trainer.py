@@ -44,8 +44,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.d_steps_per_g_step < 1:
             raise ValueError("epochs, batch_size and d_steps_per_g_step must be >= 1")
-        if self.lr_g < 0 or self.lr_d < 0:
-            raise ValueError("learning rates must be non-negative")
+        if not (0 <= self.lr_g < math.inf and 0 <= self.lr_d < math.inf):
+            raise ValueError(
+                f"learning rates must be finite and >= 0, got {self.lr_g}, {self.lr_d}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1 and self.adam_eps > 0):
             raise ValueError("invalid Adam hyperparameters")
         if self.fake_source not in ("reconstruction", "prior"):

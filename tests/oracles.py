@@ -1,4 +1,4 @@
-"""Independent brute-force reference implementations for metric tests.
+"""Independent brute-force reference implementations for tests.
 
 Everything here is deliberately written as plain loops over the defining
 formulas, sharing no code with gridsynth.metrics, so the two sides can
@@ -7,6 +7,7 @@ ops' own _backward rules, not the engine's sweep.
 """
 import itertools
 import math
+from datetime import datetime, timedelta
 
 import numpy as np
 
@@ -244,3 +245,94 @@ def causal_conv_padded_input_grad(g, w, dilation):
     for j in range(k):
         gxpad[:, :, j * dilation : j * dilation + t] += gcols[:, :, j, :]
     return gxpad[:, :, pad:]
+
+
+def resample_add_at(timestamps, values, source_minutes, target_minutes):
+    """Window means by np.add.at over the non-NaN samples, plus a separate
+    flag for windows holding a NaN sample; returns (window starts, means)
+    with NaN for every window that is short or flagged."""
+    target_s = target_minutes * 60
+    per_window = target_s // (source_minutes * 60)
+    win = np.asarray(timestamps, dtype=np.int64) // target_s
+    values = np.asarray(values, dtype=np.float64)
+    first, last = int(win[0]), int(win[-1])
+    n_out = last - first + 1
+    sums = np.zeros(n_out)
+    counts = np.zeros(n_out, dtype=np.int64)
+    bad = np.zeros(n_out, dtype=bool)
+    idx = (win - first).astype(np.int64)
+    nan_mask = np.isnan(values)
+    bad[idx[nan_mask]] = True
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        np.add.at(sums, idx[~nan_mask], values[~nan_mask])
+    np.add.at(counts, idx[~nan_mask], 1)
+    out = np.full(n_out, np.nan)
+    full = (counts == per_window) & ~bad
+    out[full] = sums[full] / per_window
+    return np.arange(first, last + 1, dtype=np.int64) * target_s, out
+
+
+def _fixed_offset_seconds(tz):
+    if tz.upper() in ("UTC", "Z", ""):
+        return 0
+    sign = 1
+    body = tz
+    if tz.startswith(("+", "-")):
+        sign = -1 if tz[0] == "-" else 1
+        body = tz[1:]
+    if ":" in body and all(part.isdigit() for part in body.split(":")):
+        hh, mm = body.split(":")
+        return sign * (int(hh) * 3600 + int(mm) * 60)
+    return None
+
+
+def _day_key_and_slot(ts, tz):
+    """(local day key, slot) per stamp plus day labels: arithmetic for a
+    fixed offset, one datetime conversion per stamp for an IANA zone."""
+    offset = _fixed_offset_seconds(tz)
+    if offset is not None:
+        local = ts + offset
+        day = local // 86400
+        slot = (local % 86400) // 900
+        labels = {
+            int(d): (datetime(1970, 1, 1) + timedelta(days=int(d))).strftime("%Y-%m-%d")
+            for d in np.unique(day)
+        }
+        return day, slot, labels
+    from zoneinfo import ZoneInfo
+
+    zone = ZoneInfo(tz)
+    day = np.empty(len(ts), dtype=np.int64)
+    slot = np.empty(len(ts), dtype=np.int64)
+    labels = {}
+    for i, t in enumerate(ts):
+        dt = datetime.fromtimestamp(int(t), tz=zone)
+        ordinal = dt.toordinal()
+        day[i] = ordinal
+        slot[i] = (dt.hour * 60 + dt.minute) // 15
+        labels.setdefault(ordinal, dt.strftime("%Y-%m-%d"))
+    return day, slot, labels
+
+
+def clean_days_per_day(timestamps, values, tz, completeness):
+    """Day cleansing with one mask over the whole 15-minute series per local
+    day: (kept day rows, their date labels), or None when no day is kept."""
+    ts = np.asarray(timestamps, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    day, slot, labels = _day_key_and_slot(ts, tz)
+    rows, dates = [], []
+    min_present = math.ceil(completeness * 96)
+    for d in np.unique(day):
+        mask = day == d
+        profile = np.full(96, np.nan)
+        profile[slot[mask]] = values[mask]
+        present = np.flatnonzero(np.isfinite(profile))
+        if present.size < min_present:
+            continue
+        if present.size < 96:
+            missing = np.flatnonzero(~np.isfinite(profile))
+            nearest = present[np.argmin(np.abs(missing[:, None] - present[None, :]), axis=1)]
+            profile[missing] = profile[nearest]
+        rows.append(profile)
+        dates.append(labels[int(d)])
+    return (np.vstack(rows), dates) if rows else None

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from gridsynth import cli
-from gridsynth.config import RunConfig, config_hash, load_run_config, run_dir
+from gridsynth.config import (
+    RunConfig, config_hash, load_run_config, run_dir, write_effective_config,
+)
 from gridsynth.errors import UsageError
 
 from test_datapipe import corrupt_matrix_csv, insert_non_utf8
@@ -138,6 +140,56 @@ class TestConfig:
         assert "sigma" in capsys.readouterr().err
         assert not (rd / cli.REPORT_JSON).exists()
         assert (rd / "config.txt").read_bytes() == config_txt
+
+    @pytest.mark.parametrize("tz", ["+1:00", "5:30", "-03:30", "utc", ""])
+    def test_timezone_forms_accepted(self, workspace, tz):
+        tmp_path, _ = workspace
+        cfg = load_run_config(write_config(tmp_path, tmp_path / "house.csv", timezone=tz))
+        assert cfg.timezone == tz
+
+    @pytest.mark.parametrize("key,value,command", [
+        ("timezone", "Not/AZone", "ingest"),
+        ("timezone", "+5", "ingest"),
+        ("timezone", "01:02:03", "ingest"),
+        ("timezone", "../x", "ingest"),
+        ("timezone", "+99:99", "ingest"),
+        ("timezone", "25:00", "ingest"),
+        ("day_completeness", "0", "ingest"),
+        ("day_completeness", "nan", "ingest"),
+        ("alpha_low", "0.95", "evaluate"),
+        ("lr_g", "nan", "train"),
+        ("lr_d", "inf", "train"),
+        ("seed", "-1", "train"),
+    ])
+    def test_bad_value_is_1_with_one_line_and_no_artifact(self, workspace, capsys, key, value,
+                                                         command):
+        tmp_path, _ = workspace
+        cfg_path = write_config(tmp_path, tmp_path / "house.csv", **{key: value})
+        with pytest.raises(UsageError):
+            load_run_config(cfg_path)
+        assert cli.main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "runs").exists()
+
+    def test_failed_config_write_keeps_previous_file(self, workspace, monkeypatch):
+        _, cfg_path = workspace
+        cfg = load_run_config(cfg_path)
+        rd = run_dir(cfg)
+        rd.mkdir(parents=True)
+        write_effective_config(cfg, rd / "config.txt")
+        before = {p.name: p.read_bytes() for p in rd.iterdir()}
+        write_text = Path.write_text
+
+        def fail_mid_write(self, text, **kwargs):
+            write_text(self, text[: len(text) // 2], **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", fail_mid_write)
+        cfg.epochs += 1
+        with pytest.raises(OSError, match="disk full"):
+            write_effective_config(cfg, rd / "config.txt")
+        assert {p.name: p.read_bytes() for p in rd.iterdir()} == before
 
     def test_defaults_documented_in_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,15 @@
 """CSV parsing, resampling, day cleansing and normalization contracts."""
+import datetime as dtmod
+import zoneinfo
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gridsynth import datapipe as dp
 from gridsynth.errors import DataError
+
+from oracles import clean_days_per_day, resample_add_at
 
 
 def corrupt_matrix_csv(path, how):
@@ -162,6 +167,22 @@ class TestResample:
         np.testing.assert_array_equal(once.timestamps, twice.timestamps)
         np.testing.assert_array_equal(once.values, twice.values)
 
+    def test_same_bits_as_add_at_oracle(self):
+        rng = np.random.default_rng(3)
+        specials = np.array([np.nan, np.inf, -np.inf])
+        for trial in range(400):
+            source = int(rng.choice([1, 3, 5, 15]))
+            n = int(rng.integers(1, 200))
+            steps = rng.choice([1, 1, 1, 2, 5], size=n)
+            ts = (int(rng.integers(-10**6, 10**6)) + np.cumsum(steps)) * source * 60
+            values = rng.normal(300.0, 200.0, size=n)
+            odd = rng.random(n) < rng.choice([0.0, 0.02, 0.2])
+            values[odd] = rng.choice(specials, size=int(odd.sum()))
+            out = dp.resample(dp.TimeSeries(ts, values, source), 15)
+            want_ts, want = resample_add_at(ts, values, source, 15)
+            np.testing.assert_array_equal(out.timestamps, want_ts, err_msg=f"trial {trial}")
+            assert out.values.tobytes() == want.tobytes(), f"trial {trial}"
+
 
 class TestCleanDays:
     def fifteen_min_series(self, n_days=3, drop=()):
@@ -214,6 +235,135 @@ class TestCleanDays:
         assert matrix.n_days == 1
         with pytest.raises(DataError):
             dp.clean_days(series, tz="UTC")
+
+    def test_partial_day_takes_nearest_reading_earlier_on_tie(self):
+        drop = [0, 10, 20, 21, 95]
+        matrix = dp.clean_days(self.fifteen_min_series(n_days=1, drop=drop), completeness=0.9)
+        want = 100.0 + np.arange(96.0)
+        want[drop] = want[[1, 9, 19, 22, 94]]
+        np.testing.assert_array_equal(matrix.values[0], want)
+
+    @pytest.mark.parametrize("completeness", [0.0, -0.5, 1.01, float("nan")])
+    def test_completeness_outside_unit_interval_rejected(self, completeness):
+        with pytest.raises(DataError, match="completeness"):
+            dp.clean_days(self.fifteen_min_series(n_days=1), completeness=completeness)
+
+
+def utc_epoch(text):
+    """Epoch seconds of an ISO-8601 UTC wall time."""
+    return int(dtmod.datetime.fromisoformat(text).replace(tzinfo=dtmod.timezone.utc).timestamp())
+
+
+def needs_zone(name):
+    return pytest.mark.skipif(
+        name not in zoneinfo.available_timezones(), reason=f"no tz data for {name}"
+    )
+
+
+class TestTimezones:
+    @pytest.mark.parametrize("tz,seconds", [
+        ("UTC", 0), ("utc", 0), ("Z", 0), ("", 0), ("+01:00", 3600), ("+1:00", 3600),
+        ("5:30", 19800), ("-03:30", -12600), ("-05:30", -19800), ("+23:59", 86340),
+        ("-00:00", 0),
+    ])
+    def test_fixed_forms_keep_their_offset(self, tz, seconds):
+        zone = dp.resolve_timezone(tz)
+        assert zone.utcoffset(None) == dtmod.timedelta(seconds=seconds)
+
+    @needs_zone("Europe/Berlin")
+    def test_iana_name_is_a_zone(self):
+        zone = dp.resolve_timezone("Europe/Berlin")
+        assert zone.utcoffset(None) is None
+        assert zone.utcoffset(dtmod.datetime(2021, 7, 1)) == dtmod.timedelta(hours=2)
+
+    @pytest.mark.parametrize("tz", [
+        "Not/AZone", "+5", "01:02:03", "../x", "/etc/passwd", "+99:99", "25:00", "12:60",
+        "+5:", "zone.tab",
+    ])
+    def test_bad_timezone_is_data_error(self, tz):
+        with pytest.raises(DataError, match="timezone"):
+            dp.resolve_timezone(tz)
+        series = dp.TimeSeries(np.arange(96, dtype=np.int64) * 900, np.ones(96), 15)
+        with pytest.raises(DataError, match="timezone"):
+            dp.clean_days(series, tz=tz)
+
+    @staticmethod
+    def local_days(start_utc, n_slots):
+        ts = utc_epoch(start_utc) + np.arange(n_slots, dtype=np.int64) * 900
+        return dp.TimeSeries(ts, np.arange(n_slots, dtype=float), 15)
+
+    @needs_zone("Europe/Berlin")
+    def test_spring_forward_day_is_dropped(self):
+        # 2021-03-27 00:00 CET through 2021-03-29 24:00 CEST: 96 + 92 + 96 slots
+        matrix = dp.clean_days(self.local_days("2021-03-26T23:00:00", 284), tz="Europe/Berlin")
+        assert matrix.dates == ["2021-03-27", "2021-03-29"]
+        np.testing.assert_array_equal(matrix.values[1], np.arange(188.0, 284.0))
+
+    @needs_zone("Europe/Berlin")
+    def test_fall_back_day_keeps_later_reading_of_repeated_hour(self):
+        # 2021-10-31 runs 25 h, 22:00Z to 23:00Z; 02:00-02:45 local happens twice
+        matrix = dp.clean_days(self.local_days("2021-10-30T22:00:00", 100), tz="Europe/Berlin")
+        assert matrix.dates == ["2021-10-31"]
+        want = np.concatenate([np.arange(8.0), np.arange(12.0, 100.0)])
+        np.testing.assert_array_equal(matrix.values[0], want)
+
+
+def demo_year(gaps, seed=11):
+    """A 5-minute year of load-like readings from 2020-12-30 00:00Z, resampled
+    to 15 minutes; resample and its np.add.at oracle must agree on it.
+
+    gaps: "none"; "nan" drops short runs of 5-minute rows, so resample emits
+    NaN windows; "missing" also removes 15-minute stamps outright, so
+    clean_days sees a grid with holes.
+    """
+    rng = np.random.default_rng(seed)
+    n = 368 * 288
+    ts = utc_epoch("2020-12-30T00:00:00") + np.arange(n, dtype=np.int64) * 300
+    hours = (np.arange(n) % 288) / 12.0
+    values = np.round(
+        120 + 600 * np.exp(-((hours - 19.0) ** 2) / 2.0) + rng.gamma(2.0, 25.0, n), 2
+    )
+    keep = np.ones(n, dtype=bool)
+    if gaps != "none":
+        for start in rng.choice(n - 40, size=60, replace=False):
+            keep[start:start + int(rng.integers(1, 12))] = False
+    series = dp.TimeSeries(ts[keep], values[keep], 5)
+    out = dp.resample(series, 15)
+    want_ts, want = resample_add_at(series.timestamps, series.values, 5, 15)
+    assert out.values.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(out.timestamps, want_ts)
+    if gaps == "missing":
+        holes = rng.choice(len(out), size=40, replace=False)
+        keep15 = np.setdiff1d(np.arange(len(out)), holes)
+        out = dp.TimeSeries(out.timestamps[keep15], out.values[keep15], 15)
+    return out
+
+
+@pytest.fixture(scope="module", params=["none", "nan", "missing"])
+def demo_series(request):
+    return demo_year(request.param)
+
+
+class TestDaySplitOracle:
+    """clean_days gives the per-day oracle's bits: a year of stamps through
+    both DST changes of each zone, with and without gaps."""
+
+    @pytest.mark.parametrize("completeness", [1.0, 0.9])
+    @pytest.mark.parametrize("tz", [
+        "UTC", "+01:00", "-05:30",
+        pytest.param("Europe/Berlin", marks=needs_zone("Europe/Berlin")),
+        pytest.param("America/New_York", marks=needs_zone("America/New_York")),
+        pytest.param("Australia/Lord_Howe", marks=needs_zone("Australia/Lord_Howe")),
+        pytest.param("Asia/Kolkata", marks=needs_zone("Asia/Kolkata")),
+        pytest.param("Pacific/Chatham", marks=needs_zone("Pacific/Chatham")),
+    ])
+    def test_same_bits_as_per_day_oracle(self, demo_series, tz, completeness):
+        matrix = dp.clean_days(demo_series, tz=tz, completeness=completeness)
+        want_values, want_dates = clean_days_per_day(
+            demo_series.timestamps, demo_series.values, tz, completeness
+        )
+        assert matrix.values.tobytes() == want_values.tobytes()
+        assert matrix.dates == want_dates
 
 
 class TestNormalize:
