@@ -1,71 +1,47 @@
 #!/usr/bin/env python3
 """Train VAE-GAN and vanilla GAN on the sinusoid toy set and compare fidelity.
 
-Both models share one config and seed; the table mirrors the evaluate/report
-layout (KL divergence, Wasserstein distance, MMD against the real data).
+Both models share one config and seed (`gridsynth.compare`); the table mirrors
+the evaluate/report layout (KL divergence, Wasserstein distance, MMD against
+the real data). The jobs run in two worker processes; wall_s is each job's
+training time inside its worker.
 """
 import argparse
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
-
-from gridsynth import metrics, nets, synth, toydata, trainer
-from gridsynth.datapipe import denormalize
-
-
-def train_and_score(kind, data, cfg, arch, n_synth=256):
-    train_fn = trainer.train_vaegan if kind == "vaegan" else trainer.train_gan
-    t0 = time.perf_counter()
-    model, log = train_fn(data, cfg, arch=arch)
-    wall = time.perf_counter() - t0
-    norm_meta = {"norm_min": data.norm_min, "norm_max": data.norm_max, "kind": data.kind}
-    batch = synth.sample(model, n_synth, seed=cfg.seed + 10_000, norm_meta=norm_meta)
-    real_watts = denormalize(data)
-    report = metrics.full_report(real_watts, batch.denorm, kind=data.kind, model=kind)
-    return model, log, report, wall
+from gridsynth import compare, toydata
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--days", type=int, default=200)
-    ap.add_argument("--epochs", type=int, default=200)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    ap.add_argument("--data-seed", type=int, default=11)
-    ap.add_argument("--batch-size", type=int, default=32)
-    ap.add_argument("--lr", type=float, default=1e-3)
-    ap.add_argument("--beta1", type=float, default=0.9)
-    ap.add_argument("--d-steps", type=int, default=1)
-    ap.add_argument("--latent", type=int, default=16)
-    ap.add_argument("--channels", type=int, default=16)
-    ap.add_argument("--n-synth", type=int, default=256)
-    ap.add_argument("--fake-source", choices=["reconstruction", "prior"], default="prior")
+    ap.add_argument("--epochs", type=int, default=compare.TOY_EPOCHS)
+    ap.add_argument("--seeds", type=int, nargs="+", default=list(compare.TOY_SEEDS))
     args = ap.parse_args()
 
-    data = toydata.sinusoid_day_matrix(args.days, seed=args.data_seed)
-    arch = nets.ArchConfig(latent_dim=args.latent, channels=args.channels)
+    data = toydata.sinusoid_day_matrix(compare.TOY_DAYS, seed=compare.TOY_DATA_SEED)
+    jobs = [
+        (kind, compare.comparison_config(seed, args.epochs), compare.TOY_ARCH)
+        for seed in args.seeds for kind in compare.KINDS
+    ]
+    results = iter(compare.run(data, jobs))
 
-    print(f"toy sinusoid: {args.days} days, {args.epochs} epochs, "
-          f"lr={args.lr}, batch={args.batch_size}, beta1={args.beta1}")
+    cfg = jobs[0][1]
+    print(f"toy sinusoid: {compare.TOY_DAYS} days, {args.epochs} epochs, "
+          f"lr={cfg.lr_g}, batch={cfg.batch_size}, beta1={cfg.adam_beta1}")
     header = f"{'seed':>4}  {'model':<8} {'kl':>8} {'wasserstein':>12} {'mmd':>8} {'recon_mse':>10} {'wall_s':>7}"
     print(header)
     wins = 0
     for seed in args.seeds:
-        cfg = trainer.TrainConfig(
-            epochs=args.epochs, batch_size=args.batch_size, lr_g=args.lr, lr_d=args.lr,
-            adam_beta1=args.beta1, seed=seed, fake_source=args.fake_source,
-            d_steps_per_g_step=args.d_steps,
-        )
         row = {}
-        for kind in ("vaegan", "gan"):
-            model, log, report, wall = train_and_score(kind, data, cfg, arch, args.n_synth)
+        for kind in compare.KINDS:
+            report, log, wall = next(results)
             mse = log.epoch_mean(args.epochs, "recon_mse") if kind == "vaegan" else float("nan")
             row[kind] = report
             print(f"{seed:>4}  {kind:<8} {report.kl:>8.4f} {report.wasserstein:>12.2f} "
-                  f"{report.mmd:>8.4f} {mse:>10.5f} {wall:>7.1f}", flush=True)
+                  f"{report.mmd:>8.4f} {mse:>10.5f} {wall:>7.1f}")
         better = (row["vaegan"].kl < row["gan"].kl) and (
             row["vaegan"].wasserstein < row["gan"].wasserstein
         )

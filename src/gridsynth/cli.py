@@ -138,21 +138,41 @@ def cmd_generate(cfg: cfgmod.RunConfig) -> int:
     return 0
 
 
-def _load_watts(path) -> np.ndarray:
-    """Read a day matrix or an exported synthetic batch as a watts matrix."""
+def _load_watts(path) -> tuple[np.ndarray, dict[str, str]]:
+    """Read a day matrix or an exported synthetic batch: (watts matrix, sidecar)."""
     values, meta = synth.load_exported(path)
     if "daymatrix" not in meta.get("schema", ""):
-        return values
+        return values, meta
     matrix = datapipe.day_matrix_from(values, meta)
-    return datapipe.denormalize(matrix) if matrix.normalized else matrix.values
+    return (datapipe.denormalize(matrix) if matrix.normalized else matrix.values), meta
+
+
+def _check_same_data(real_path, real_meta, synth_path, synth_meta) -> None:
+    """Both sidecars must agree on kind and normalization where both carry
+    them: a synthetic file belongs to the day matrix its model trained on."""
+    for key in ("kind", "norm_min", "norm_max"):
+        if key not in real_meta or key not in synth_meta:
+            continue
+        real, fake = real_meta[key], synth_meta[key]
+        if key != "kind":
+            try:
+                real, fake = float(real), float(fake)
+            except ValueError:
+                raise DataError(f"{key} must be a number, got {real!r} and {fake!r}")
+        if real != fake:
+            raise DataError(
+                f"inputs do not belong together: {key} is {real!r} in {real_path} "
+                f"but {fake!r} in {synth_path}"
+            )
 
 
 def cmd_evaluate(cfg: cfgmod.RunConfig, real_path=None, synth_path=None) -> int:
     rd = _run_dir(cfg)
     real_path = Path(real_path) if real_path else rd / DAYMATRIX_CSV
     synth_path = Path(synth_path) if synth_path else rd / SYNTH_CSV
-    real_watts = _load_watts(real_path)
-    synth_watts = _load_watts(synth_path)
+    real_watts, real_meta = _load_watts(real_path)
+    synth_watts, synth_meta = _load_watts(synth_path)
+    _check_same_data(real_path, real_meta, synth_path, synth_meta)
     report = metrics.full_report(
         real_watts, synth_watts, cfg.metrics_config(), kind=cfg.kind, model=cfg.model
     )

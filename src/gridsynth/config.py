@@ -12,7 +12,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DataError, UsageError
-from .datapipe import check_completeness, read_kv_file, replaced_on_success, resolve_timezone
+from .datapipe import (
+    check_completeness, check_period, read_kv_file, replaced_on_success, resolve_timezone,
+)
 from .nets import ArchConfig
 from .trainer import TrainConfig
 from .metrics import MetricsConfig, check_alphas
@@ -116,6 +118,7 @@ class RunConfig:
         try:
             resolve_timezone(self.timezone)
             check_completeness(self.day_completeness)
+            check_period(self.source_period_minutes)
         except DataError as exc:
             raise UsageError(str(exc))
         self.arch_config()

@@ -169,14 +169,9 @@ def resample(series: TimeSeries, target_period_minutes: int = 15) -> TimeSeries:
     explicit NaN entries rather than missing rows. A window holding a NaN
     sample sums to NaN, so it stays a gap.
     """
+    check_period(series.period_minutes, target_period_minutes)
     target_s = target_period_minutes * 60
-    source_s = series.period_minutes * 60
-    if target_s % source_s != 0:
-        raise DataError(
-            f"target period {target_period_minutes} min is not a multiple of "
-            f"source period {series.period_minutes} min"
-        )
-    per_window = target_s // source_s
+    per_window = target_period_minutes // series.period_minutes
     if len(series) == 0:
         return TimeSeries(series.timestamps, series.values, target_period_minutes)
     win = series.timestamps // target_s
@@ -188,6 +183,18 @@ def resample(series: TimeSeries, target_period_minutes: int = 15) -> TimeSeries:
     out = np.where(counts == per_window, sums / per_window, np.nan)
     out_ts = (np.arange(first, last + 1, dtype=np.int64)) * target_s
     return TimeSeries(out_ts, out, target_period_minutes)
+
+
+def check_period(source_minutes: int, target_minutes: int = SLOT_MINUTES) -> None:
+    """The resampling rule: a source period is a positive divisor of the
+    target period, so every target window holds a whole number of samples."""
+    if source_minutes <= 0:
+        raise DataError(f"source period must be positive, got {source_minutes} min")
+    if target_minutes % source_minutes != 0:
+        raise DataError(
+            f"target period {target_minutes} min is not a multiple of "
+            f"source period {source_minutes} min"
+        )
 
 
 def resolve_timezone(tz: str) -> tzinfo:

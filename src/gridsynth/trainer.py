@@ -50,6 +50,8 @@ class TrainConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1 and self.adam_eps > 0):
             raise ValueError("invalid Adam hyperparameters")
         if self.fake_source not in ("reconstruction", "prior"):

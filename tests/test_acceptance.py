@@ -2,7 +2,8 @@
 
 Criteria 3 and 4 train on the seeded toy-sinusoid set with the default
 scheme; the directional comparison (criterion 5) trains both model kinds
-with one identical config per seed. Run with
+with one identical config per seed, through `gridsynth.compare.run` in two
+worker processes. Run with
 `pytest tests/test_acceptance.py -v -s` to see PASS lines and timings.
 """
 import math
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from gridsynth import autodiff as ad
-from gridsynth import cli, datapipe, metrics, nets, synth, toydata, trainer
+from gridsynth import cli, compare, datapipe, metrics, nets, synth, toydata, trainer
+from gridsynth.compare import KINDS, TOY_ARCH, TOY_DATA_SEED, TOY_DAYS, TOY_EPOCHS, TOY_SEEDS
 from gridsynth.config import load_run_config, run_dir
 
 from oracles import (
@@ -29,31 +31,11 @@ from oracles import (
 from test_autodiff import GRADCHECK_OPS, _gradcheck_case
 from test_cli import make_raw_csv, write_config
 
-# toy-data training setups for criteria 3, 4 and 5
-TOY_DAYS = 200
-TOY_EPOCHS = 200
-TOY_ARCH = nets.ArchConfig(latent_dim=16, channels=16)
-TOY_DATA_SEED = 11
-TOY_SEEDS = (0, 1, 2)
-
-
 def learning_cfg(seed: int, epochs: int = TOY_EPOCHS) -> trainer.TrainConfig:
     """Config for the learning criteria (3, 4): spec-default training scheme."""
     return trainer.TrainConfig(
         epochs=epochs, batch_size=32, lr_g=1e-3, lr_d=1e-3, adam_beta1=0.5,
         fake_source="reconstruction", seed=seed,
-    )
-
-
-def comparison_cfg(seed: int) -> trainer.TrainConfig:
-    """One identical config for both model kinds in the Table-I comparison.
-
-    Stock Adam beta1 (0.9) and the adversary on prior samples: the VAE-GAN's
-    reconstruction anchor keeps it stable where the vanilla GAN collapses.
-    """
-    return trainer.TrainConfig(
-        epochs=TOY_EPOCHS, batch_size=32, lr_g=1e-3, lr_d=1e-3, adam_beta1=0.9,
-        fake_source="prior", seed=seed,
     )
 
 
@@ -64,15 +46,6 @@ def _report(criterion: int, detail: str) -> None:
 @pytest.fixture(scope="module")
 def toy_data():
     return toydata.sinusoid_day_matrix(TOY_DAYS, seed=TOY_DATA_SEED)
-
-
-def _score(model, toy_data, kind, seed):
-    norm_meta = {
-        "norm_min": toy_data.norm_min, "norm_max": toy_data.norm_max, "kind": toy_data.kind,
-    }
-    batch = synth.sample(model, 256, seed=seed + 10_000, norm_meta=norm_meta)
-    real_watts = datapipe.denormalize(toy_data)
-    return metrics.full_report(real_watts, batch.denorm, kind="load", model=kind)
 
 
 @pytest.fixture(scope="module")
@@ -86,12 +59,12 @@ def vaegan_learning_run(toy_data):
 @pytest.fixture(scope="module")
 def comparison_runs(toy_data):
     """(kind, seed) -> report under one shared config, for criterion 5."""
-    runs = {}
+    jobs = [
+        (kind, compare.comparison_config(seed), TOY_ARCH) for seed in TOY_SEEDS for kind in KINDS
+    ]
     t0 = time.perf_counter()
-    for seed in TOY_SEEDS:
-        for kind, train_fn in (("vaegan", trainer.train_vaegan), ("gan", trainer.train_gan)):
-            model, _ = train_fn(toy_data, comparison_cfg(seed), arch=TOY_ARCH)
-            runs[(kind, seed)] = _score(model, toy_data, kind, seed)
+    results = compare.run(toy_data, jobs)
+    runs = {(kind, cfg.seed): report for (kind, cfg, _), (report, _, _) in zip(jobs, results)}
     runs["wall"] = time.perf_counter() - t0
     return runs
 

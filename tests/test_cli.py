@@ -11,6 +11,7 @@ from gridsynth import cli
 from gridsynth.config import (
     RunConfig, config_hash, load_run_config, run_dir, write_effective_config,
 )
+from gridsynth.datapipe import load_day_matrix, read_kv_file
 from gridsynth.errors import UsageError
 
 from test_datapipe import corrupt_matrix_csv, insert_non_utf8
@@ -160,6 +161,10 @@ class TestConfig:
         ("lr_g", "nan", "train"),
         ("lr_d", "inf", "train"),
         ("seed", "-1", "train"),
+        ("checkpoint_every", "-3", "train"),
+        ("source_period_minutes", "0", "ingest"),
+        ("source_period_minutes", "-5", "ingest"),
+        ("source_period_minutes", "7", "ingest"),
     ])
     def test_bad_value_is_1_with_one_line_and_no_artifact(self, workspace, capsys, key, value,
                                                          command):
@@ -440,6 +445,53 @@ class TestMalformedArtifacts:
             cli.cmd_report([tmp_path / "report.json"] * 2, out_dir=out)
         assert (out / failing).read_bytes() == before[failing]
         assert sorted(p.name for p in out.iterdir()) == ["comparison.csv", "comparison.txt"]
+
+
+class TestEvaluateProvenance:
+    """evaluate refuses a synthetic file that does not belong to the day matrix."""
+
+    @pytest.fixture
+    def synthetic(self, workspace):
+        _, cfg_path = workspace
+        for command in ("ingest", "train", "generate"):
+            assert cli.main([command, "--config", str(cfg_path)]) == 0
+        return run_dir(load_run_config(cfg_path)) / cli.SYNTH_CSV
+
+    def _evaluate_other(self, tmp_path, synthetic, capsys, csv_seed, **overrides):
+        other = tmp_path / "other"
+        other.mkdir()
+        cfg_path = write_config(other, make_raw_csv(other / "house.csv", seed=csv_seed), **overrides)
+        assert cli.main(["ingest", "--config", str(cfg_path)]) == 0
+        rd = run_dir(load_run_config(cfg_path))
+        capsys.readouterr()
+        argv = ["evaluate", "--config", str(cfg_path), str(rd / cli.DAYMATRIX_CSV), str(synthetic)]
+        assert cli.main(argv) == 2
+        assert not (rd / cli.REPORT_JSON).exists()
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        return err, rd
+
+    def test_kind_mismatch_is_2(self, workspace, synthetic, capsys):
+        # the same readings ingested as PV: equal normalization, other kind
+        err, _ = self._evaluate_other(workspace[0], synthetic, capsys, csv_seed=0, kind="pv")
+        assert "kind is 'pv'" in err and "but 'load'" in err
+
+    def test_norm_mismatch_is_2(self, workspace, synthetic, capsys):
+        # another house's day matrix: the synthetic days carry other extrema
+        err, rd = self._evaluate_other(workspace[0], synthetic, capsys, csv_seed=1)
+        real = load_day_matrix(rd / cli.DAYMATRIX_CSV).norm_min
+        fake = float(read_kv_file(str(synthetic) + ".meta")["norm_min"])
+        assert real != fake
+        assert f"norm_min is {real!r}" in err and f"but {fake!r}" in err
+
+    def test_non_numeric_norm_is_2(self, workspace, synthetic, capsys):
+        sidecar = Path(str(synthetic) + ".meta")
+        lines = sidecar.read_text(encoding="utf-8").splitlines()
+        lines = ["norm_max = many" if line.startswith("norm_max") else line for line in lines]
+        sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(workspace[1])]) == 2
+        assert "norm_max must be a number" in capsys.readouterr().err
 
 
 class TestGenerateFlags:
