@@ -62,7 +62,9 @@ def build_parser() -> _Parser:
     ev = add("evaluate", "score synthetic days against the real day matrix")
     ev.add_argument("real_path", nargs="?", help="ingested day matrix CSV (default: run dir)")
     ev.add_argument("synth_path", nargs="?", help="synthetic CSV (default: run dir)")
-    rep = add("report", "side-by-side comparison table from evaluate reports")
+    # report reads no config: its only inputs are the report files
+    rep = sub.add_parser("report", help="side-by-side comparison table from evaluate reports")
+    rep.add_argument("--out", metavar="dir", help="directory of comparison.txt/.csv (default: .)")
     rep.add_argument("reports", nargs="+", metavar="report.json")
     return parser
 
@@ -141,15 +143,16 @@ def cmd_generate(cfg: cfgmod.RunConfig) -> int:
 def _load_watts(path) -> tuple[np.ndarray, dict[str, str]]:
     """Read a day matrix or an exported synthetic batch: (watts matrix, sidecar)."""
     values, meta = synth.load_exported(path)
-    if "daymatrix" not in meta.get("schema", ""):
+    if meta["schema"] != datapipe.DAYMATRIX_SCHEMA:
         return values, meta
     matrix = datapipe.day_matrix_from(values, meta)
     return (datapipe.denormalize(matrix) if matrix.normalized else matrix.values), meta
 
 
-def _check_same_data(real_path, real_meta, synth_path, synth_meta) -> None:
+def _check_same_data(kind, real_path, real_meta, synth_path, synth_meta) -> None:
     """Both sidecars must agree on kind and normalization where both carry
-    them: a synthetic file belongs to the day matrix its model trained on."""
+    them: a synthetic file belongs to the day matrix its model trained on.
+    A sidecar's kind must also be the config's, which labels the report."""
     for key in ("kind", "norm_min", "norm_max"):
         if key not in real_meta or key not in synth_meta:
             continue
@@ -164,6 +167,9 @@ def _check_same_data(real_path, real_meta, synth_path, synth_meta) -> None:
                 f"inputs do not belong together: {key} is {real!r} in {real_path} "
                 f"but {fake!r} in {synth_path}"
             )
+    for path, meta in ((real_path, real_meta), (synth_path, synth_meta)):
+        if meta.get("kind", kind) != kind:
+            raise DataError(f"kind is {meta['kind']!r} in {path} but {kind!r} in the config")
 
 
 def cmd_evaluate(cfg: cfgmod.RunConfig, real_path=None, synth_path=None) -> int:
@@ -172,7 +178,7 @@ def cmd_evaluate(cfg: cfgmod.RunConfig, real_path=None, synth_path=None) -> int:
     synth_path = Path(synth_path) if synth_path else rd / SYNTH_CSV
     real_watts, real_meta = _load_watts(real_path)
     synth_watts, synth_meta = _load_watts(synth_path)
-    _check_same_data(real_path, real_meta, synth_path, synth_meta)
+    _check_same_data(cfg.kind, real_path, real_meta, synth_path, synth_meta)
     report = metrics.full_report(
         real_watts, synth_watts, cfg.metrics_config(), kind=cfg.kind, model=cfg.model
     )

@@ -44,8 +44,9 @@ def score(kind: str, data: datapipe.DayMatrix, cfg: trainer.TrainConfig, arch: n
     t0 = time.perf_counter()
     model, log = _TRAIN[kind](data, cfg, arch=arch)
     wall = time.perf_counter() - t0
-    norm_meta = {"norm_min": data.norm_min, "norm_max": data.norm_max, "kind": data.kind}
-    batch = synth.sample(model, N_SYNTH, seed=cfg.seed + SAMPLE_SEED_OFFSET, norm_meta=norm_meta)
+    batch = synth.sample(
+        model, N_SYNTH, seed=cfg.seed + SAMPLE_SEED_OFFSET, norm_meta=data.norm_meta
+    )
     report = metrics.full_report(datapipe.denormalize(data), batch.denorm, kind=data.kind, model=kind)
     return report, log, wall
 

@@ -79,8 +79,8 @@ class DayMatrix:
         if not np.all(np.isfinite(self.values)):
             raise DataError("day matrix must be finite")
         if self.normalized:
-            if not self.norm_max > self.norm_min:
-                raise DataError("norm_max must exceed norm_min")
+            if not -math.inf < self.norm_min < self.norm_max < math.inf:
+                raise DataError("norm_min and norm_max must be finite, with norm_max > norm_min")
             if self.values.size and (self.values.min() < -1e-12 or self.values.max() > 1 + 1e-12):
                 raise DataError("normalized values must lie in [0, 1]")
 
@@ -91,6 +91,14 @@ class DayMatrix:
     @property
     def n_days(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def norm_meta(self) -> dict:
+        """The normalization record that checkpoints and synthetic sidecars
+        carry; a matrix that is not normalized raises DataError."""
+        if not self.normalized:
+            raise DataError("day matrix is not normalized (norm_min/norm_max missing)")
+        return {"norm_min": self.norm_min, "norm_max": self.norm_max, "kind": self.kind}
 
 
 def _parse_timestamp(text: str, line_no: int) -> int:
@@ -161,19 +169,19 @@ def load_csv(
     return TimeSeries(ts, vs, period_minutes)
 
 
-def resample(series: TimeSeries, target_period_minutes: int = 15) -> TimeSeries:
-    """Mean-aggregate onto a coarser grid; incomplete windows become NaN.
+def resample(series: TimeSeries) -> TimeSeries:
+    """Mean-aggregate onto the SLOT_MINUTES grid; incomplete windows become NaN.
 
-    The output grid is aligned to multiples of the target period and is
+    The output grid is aligned to multiples of the slot period and is
     contiguous from the first to the last covered window, so gap windows are
     explicit NaN entries rather than missing rows. A window holding a NaN
     sample sums to NaN, so it stays a gap.
     """
-    check_period(series.period_minutes, target_period_minutes)
-    target_s = target_period_minutes * 60
-    per_window = target_period_minutes // series.period_minutes
+    check_period(series.period_minutes)
+    target_s = SLOT_MINUTES * 60
+    per_window = SLOT_MINUTES // series.period_minutes
     if len(series) == 0:
-        return TimeSeries(series.timestamps, series.values, target_period_minutes)
+        return TimeSeries(series.timestamps, series.values, SLOT_MINUTES)
     win = series.timestamps // target_s
     first, last = int(win[0]), int(win[-1])
     n_out = last - first + 1
@@ -182,17 +190,17 @@ def resample(series: TimeSeries, target_period_minutes: int = 15) -> TimeSeries:
     counts = np.bincount(idx, minlength=n_out)
     out = np.where(counts == per_window, sums / per_window, np.nan)
     out_ts = (np.arange(first, last + 1, dtype=np.int64)) * target_s
-    return TimeSeries(out_ts, out, target_period_minutes)
+    return TimeSeries(out_ts, out, SLOT_MINUTES)
 
 
-def check_period(source_minutes: int, target_minutes: int = SLOT_MINUTES) -> None:
+def check_period(source_minutes: int) -> None:
     """The resampling rule: a source period is a positive divisor of the
-    target period, so every target window holds a whole number of samples."""
+    slot period, so every slot window holds a whole number of samples."""
     if source_minutes <= 0:
         raise DataError(f"source period must be positive, got {source_minutes} min")
-    if target_minutes % source_minutes != 0:
+    if SLOT_MINUTES % source_minutes != 0:
         raise DataError(
-            f"target period {target_minutes} min is not a multiple of "
+            f"target period {SLOT_MINUTES} min is not a multiple of "
             f"source period {source_minutes} min"
         )
 
@@ -303,6 +311,8 @@ def denormalize_values(values: np.ndarray, norm_min: float, norm_max: float) -> 
 
 _META_SUFFIX = ".meta"
 _MATRIX_HEADER = [f"t{i:02d}" for i in range(SLOTS_PER_DAY)]
+DAYMATRIX_SCHEMA = "gridsynth.daymatrix/1"
+SYNTH_SCHEMA = "gridsynth.synth/1"
 
 
 def write_matrix(csv_path, values, meta: dict) -> None:
@@ -324,7 +334,8 @@ def read_matrix(csv_path) -> tuple[np.ndarray, dict[str, str]]:
     """Read a write_matrix file back as (N x 96 array, sidecar dict).
 
     A wrong header, a ragged row, a non-numeric or non-finite cell, no data
-    rows, text that is not UTF-8 or a missing sidecar raise DataError.
+    rows, text that is not UTF-8, a missing sidecar or one whose schema is
+    neither DAYMATRIX_SCHEMA nor SYNTH_SCHEMA raise DataError.
     """
     csv_path = Path(csv_path)
     if not csv_path.exists():
@@ -350,12 +361,16 @@ def read_matrix(csv_path) -> tuple[np.ndarray, dict[str, str]]:
     values = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise DataError(f"{csv_path}: non-finite cell")
-    return values, read_kv_file(str(csv_path) + _META_SUFFIX)
+    meta = read_kv_file(str(csv_path) + _META_SUFFIX)
+    if meta.get("schema") not in (DAYMATRIX_SCHEMA, SYNTH_SCHEMA):
+        raise DataError(f"{csv_path}{_META_SUFFIX}: schema must be {DAYMATRIX_SCHEMA} or "
+                        f"{SYNTH_SCHEMA}, got {meta.get('schema')!r}")
+    return values, meta
 
 
 def save_day_matrix(matrix: DayMatrix, csv_path) -> None:
     """Write the matrix plus a sidecar with its kind, normalization and dates."""
-    meta = {"schema": "gridsynth.daymatrix/1", "kind": matrix.kind, "n_days": matrix.n_days}
+    meta = {"schema": DAYMATRIX_SCHEMA, "kind": matrix.kind, "n_days": matrix.n_days}
     if matrix.normalized:
         meta["norm_min"] = repr(matrix.norm_min)
         meta["norm_max"] = repr(matrix.norm_max)
@@ -382,7 +397,11 @@ def day_matrix_from(values: np.ndarray, meta: dict[str, str]) -> DayMatrix:
 
 
 def load_day_matrix(csv_path) -> DayMatrix:
-    return day_matrix_from(*read_matrix(csv_path))
+    """Read a save_day_matrix file; any other schema raises DataError."""
+    values, meta = read_matrix(csv_path)
+    if meta["schema"] != DAYMATRIX_SCHEMA:
+        raise DataError(f"{csv_path}: not a day matrix (schema {meta['schema']})")
+    return day_matrix_from(values, meta)
 
 
 @contextmanager
@@ -406,12 +425,15 @@ def replaced_on_success(path):
 @contextmanager
 def _utf8_text(path):
     """Open path as UTF-8 text for reading (csv-module newline handling); a
-    decoding failure anywhere inside the block becomes a DataError."""
+    decoding failure or a CSV syntax error anywhere inside the block becomes
+    a DataError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})")
+    except csv.Error as exc:  # e.g. a stray quote opens a field past the size limit
+        raise DataError(f"{path}: malformed CSV ({exc})")
 
 
 def read_kv_file(path) -> dict[str, str]:
@@ -449,6 +471,6 @@ def ingest(
         timestamp_column=timestamp_column,
         period_minutes=source_period_minutes,
     )
-    series = resample(series, SLOT_MINUTES)
+    series = resample(series)
     days = clean_days(series, tz=tz, completeness=completeness, kind=kind)
     return normalize(days)

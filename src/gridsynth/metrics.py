@@ -48,21 +48,21 @@ def shared_histograms(x, y, bins: int = DEFAULT_BINS):
     return edges, p / x.size, q / y.size
 
 
-def kl_from_masses(p, q, eps: float = SMOOTHING_EPS) -> float:
-    """Sum p_i * ln(p_i / q_i) after epsilon-smoothing both mass vectors."""
+def kl_from_masses(p, q) -> float:
+    """Sum p_i * ln(p_i / q_i) after SMOOTHING_EPS-smoothing both mass vectors."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise DataError(f"mass vectors differ in shape: {p.shape} vs {q.shape}")
-    ps = (p + eps) / (p + eps).sum()
-    qs = (q + eps) / (q + eps).sum()
+    ps = (p + SMOOTHING_EPS) / (p + SMOOTHING_EPS).sum()
+    qs = (q + SMOOTHING_EPS) / (q + SMOOTHING_EPS).sum()
     return float(np.sum(ps * np.log(ps / qs)))
 
 
-def kl_divergence(x, y, bins: int = DEFAULT_BINS, eps: float = SMOOTHING_EPS) -> float:
+def kl_divergence(x, y, bins: int = DEFAULT_BINS) -> float:
     """Histogram KL divergence D(p_x || q_y) over shared bins, natural log."""
     _, p, q = shared_histograms(x, y, bins=bins)
-    return kl_from_masses(p, q, eps=eps)
+    return kl_from_masses(p, q)
 
 
 def median_heuristic_sigma(x, y, *, sq_dists_out: list | None = None) -> float:
@@ -415,7 +415,7 @@ def full_report(
     pooled_real = real.ravel()
     pooled_synth = synth.ravel()
 
-    kl = kl_divergence(pooled_real, pooled_synth, bins=cfg.bins, eps=SMOOTHING_EPS)
+    kl = kl_divergence(pooled_real, pooled_synth, bins=cfg.bins)
     w1 = wasserstein1(pooled_real, pooled_synth)
 
     if cfg.mmd_on == "days":

@@ -310,7 +310,7 @@ def build_gan_graph(model: GanModel) -> TrainingGraph:
 
 
 # ---------------------------------------------------------------------------
-# inference wrappers: one small graph per call over the shared Params, fed in
+# inference: one generator graph per call over the shared Params, fed in
 # fixed-size row chunks so that memory does not grow with the batch
 
 #: Rows per inference forward. It is fixed rather than derived from the
@@ -319,73 +319,24 @@ def build_gan_graph(model: GanModel) -> TrainingGraph:
 _INFER_CHUNK = 64
 
 
-def _infer(rows: np.ndarray, build) -> list[np.ndarray]:
-    """Forward rows (B, ...) through build(Input) -> (root, outputs) in
-    chunks of _INFER_CHUNK rows; returns each output's (B, ...) values.
+def generate(model, z) -> np.ndarray:
+    """Decode latent rows (B, L) to (B, T) profiles in [0, 1].
 
     The graph is built once and holds one chunk's activations at a time.
     Rows do not interact, so the zero rows that pad the last chunk are just
-    dropped from the outputs.
+    dropped from the output.
     """
-    xin = ad.Input("x")
-    root, outputs = build(xin)
-    parts = [[] for _ in outputs]
-    for start in range(0, len(rows), _INFER_CHUNK):
-        chunk = rows[start : start + _INFER_CHUNK]
+    zin = ad.Input("z")
+    out = model.generator.build(zin)
+    parts = []
+    for start in range(0, len(z), _INFER_CHUNK):
+        chunk = z[start : start + _INFER_CHUNK]
         kept = len(chunk)
         if kept < _INFER_CHUNK:
             chunk = np.concatenate([chunk, np.zeros((_INFER_CHUNK - kept,) + chunk.shape[1:])])
-        ad.forward(root, {xin: chunk})
-        for part, out in zip(parts, outputs):
-            part.append(out.value[:kept])  # every forward makes new value arrays
-    return [np.concatenate(part) for part in parts]
-
-
-def _as_batch_3d(x, seq_len: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim == 2:
-        x = x[:, None, :]
-    if x.shape[1:] != (1, seq_len):
-        raise ValueError(f"expected (B, {seq_len}) profiles, got {x.shape}")
-    return x
-
-
-def encode(model, x) -> tuple[np.ndarray, np.ndarray]:
-    """Run the encoder on (B, T) profiles; returns (mean, logvar) arrays."""
-
-    def build(xin):
-        mean, logvar = model.encoder.build(xin)
-        return ad.Add(ad.Sum(mean), ad.Sum(logvar)), (mean, logvar)  # one forward, both heads
-
-    mean, logvar = _infer(_as_batch_3d(x, model.arch.seq_len), build)
-    return mean, logvar
-
-
-def generate(model, z) -> np.ndarray:
-    """Decode latent rows (B, L) to (B, T) profiles in [0, 1]."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[None, :]
-
-    def build(zin):
-        out = model.generator.build(zin)
-        return out, (out,)
-
-    (out,) = _infer(z, build)
-    return out[:, 0, :]
-
-
-def discriminate(model, x) -> np.ndarray:
-    """Probability that each (B, T) profile is real."""
-
-    def build(xin):
-        logit = model.discriminator.build(xin)
-        return logit, (logit,)
-
-    (logit,) = _infer(_as_batch_3d(x, model.arch.seq_len), build)
-    return ad.sigmoid(logit[:, 0])
+        ad.forward(out, {zin: chunk})
+        parts.append(out.value[:kept, 0, :])  # every forward makes a new value array
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nets
-from .datapipe import denormalize_values, read_matrix, write_matrix
+from .datapipe import SYNTH_SCHEMA, denormalize_values, read_matrix, write_matrix
 from .errors import DataError
 from .metrics import _upper_sq_dists
 
@@ -60,7 +60,7 @@ def is_mode_collapsed(profiles, tol: float = 1e-6) -> bool:
 def export(batch: SynthBatch, csv_path) -> None:
     """Write watts CSV (header t00..t95, one day per row) plus sidecar."""
     provenance = {key: batch.provenance[key] for key in sorted(batch.provenance)}
-    write_matrix(csv_path, batch.denorm, {"schema": "gridsynth.synth/1", **provenance})
+    write_matrix(csv_path, batch.denorm, {"schema": SYNTH_SCHEMA, **provenance})
 
 
 def load_exported(csv_path) -> tuple[np.ndarray, dict]:

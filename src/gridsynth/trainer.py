@@ -133,13 +133,28 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start : start + batch_size]
 
 
-def _training_values(data) -> tuple[np.ndarray, dict | None]:
-    if isinstance(data, DayMatrix):
-        if not data.normalized:
-            raise DataError("training data must be normalized (norm_min/norm_max missing)")
-        norm_meta = {"norm_min": data.norm_min, "norm_max": data.norm_max, "kind": data.kind}
-        return data.values, norm_meta
-    return np.asarray(data, dtype=np.float64), None
+def _differences(saved: dict, wanted: dict) -> str:
+    """'key saved vs wanted' for each key of wanted whose value differs."""
+    return ", ".join(
+        f"{k} {saved.get(k)!r} vs {v!r}" for k, v in wanted.items() if saved.get(k) != v
+    )
+
+
+def _check_resume(resume: nets.Checkpoint, kind: str, arch: nets.ArchConfig, norm_meta: dict):
+    """A resume continues the requested run: the checkpoint must hold the
+    same model kind and arch and, where it has one, the training data's
+    normalization record."""
+    if resume.kind != kind:
+        raise DataError(f"checkpoint is for {resume.kind!r}, expected {kind!r}")
+    diff = _differences(resume.arch.to_dict(), arch.to_dict())
+    if diff:
+        raise DataError(f"checkpoint arch differs from the requested one "
+                        f"(checkpoint vs requested): {diff}")
+    if resume.norm_meta is not None:
+        diff = _differences(resume.norm_meta, norm_meta)
+        if diff:
+            raise DataError(f"checkpoint normalization differs from the training data's "
+                            f"(checkpoint vs data): {diff}")
 
 
 def _train(model_cls, build_graph, data, cfg, arch, resume, checkpoint_dir):
@@ -153,22 +168,19 @@ def _train(model_cls, build_graph, data, cfg, arch, resume, checkpoint_dir):
     same values: the E phase of the default VAE-GAN re-evaluates no conv.
     """
     cfg.validate()
-    checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    if checkpoint_dir is not None:
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    values, norm_meta = _training_values(data)
-
+    norm_meta = data.norm_meta
     if resume is not None:
-        if resume.kind != model_cls.kind:
-            raise DataError(f"checkpoint is for {resume.kind!r}, expected {model_cls.kind!r}")
+        _check_resume(resume, model_cls.kind, arch, norm_meta)
         model = nets.model_from_checkpoint(resume)
         rng = nets.rng_from_state(resume.rng_state)
         start_epoch, step, adam_t = resume.epoch, resume.step, resume.adam_steps
-        norm_meta = resume.norm_meta or norm_meta
     else:
         rng = np.random.default_rng(cfg.seed)
-        model = model_cls(arch or nets.ArchConfig(), rng)
+        model = model_cls(arch, rng)
         start_epoch, step, adam_t = 0, 0, {}
+    checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
+    if checkpoint_dir is not None:
+        checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
     optimizers = {
         name: AdamOptimizer(
@@ -197,8 +209,8 @@ def _train(model_cls, build_graph, data, cfg, arch, resume, checkpoint_dir):
     epoch = start_epoch
     for epoch in range(start_epoch + 1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        for batch_idx in _batches(len(values), cfg.batch_size, rng):
-            x = values[batch_idx][:, None, :]
+        for batch_idx in _batches(data.n_days, cfg.batch_size, rng):
+            x = data.values[batch_idx][:, None, :]
             bind = {graph.x: x}
             for node, shape in graph.draws:
                 bind[node] = rng.standard_normal((len(x),) + shape)
@@ -222,9 +234,9 @@ def _train(model_cls, build_graph, data, cfg, arch, resume, checkpoint_dir):
 
 
 def train_vaegan(
-    data,
+    data: DayMatrix,
     cfg: TrainConfig,
-    arch: nets.ArchConfig | None = None,
+    arch: nets.ArchConfig,
     resume: nets.Checkpoint | None = None,
     checkpoint_dir=None,
 ) -> tuple[nets.VaeGanModel, TrainLog]:
@@ -236,9 +248,9 @@ def train_vaegan(
 
 
 def train_gan(
-    data,
+    data: DayMatrix,
     cfg: TrainConfig,
-    arch: nets.ArchConfig | None = None,
+    arch: nets.ArchConfig,
     resume: nets.Checkpoint | None = None,
     checkpoint_dir=None,
 ) -> tuple[nets.GanModel, TrainLog]:

@@ -28,7 +28,7 @@ def test_forward_add_shared_input():
 
 
 def test_sigmoid_at_zero_and_saturation():
-    # the logistic that Bce and nets.discriminate use
+    # the logistic that Bce uses
     np.testing.assert_allclose(ad.sigmoid([0.0, -800.0, 800.0]), [0.5, 0.0, 1.0])
 
 

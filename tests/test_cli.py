@@ -1,18 +1,22 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism, help."""
+import contextlib
 import datetime as dtmod
+import io
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridsynth import cli
+from gridsynth import cli, synth
 from gridsynth.config import (
     RunConfig, config_hash, load_run_config, run_dir, write_effective_config,
 )
 from gridsynth.datapipe import load_day_matrix, read_kv_file
-from gridsynth.errors import UsageError
+from gridsynth.errors import DataError, UsageError
 
 from test_datapipe import corrupt_matrix_csv, insert_non_utf8
 from test_nets import rewrite_checkpoint
@@ -304,6 +308,26 @@ class TestPipeline:
         assert cli.main(["train", "--config", str(cfg_path), "--resume", str(ckpt)]) == 0
 
 
+class TestReportFlags:
+    @pytest.mark.parametrize("flag,value", [
+        ("--config", "nonexistent.cfg"), ("--model", "gan"), ("--seed", "3"), ("--bins", "7"),
+        ("--sigma", "nan"),
+    ])
+    def test_run_flag_on_report_is_1(self, tmp_path, capsys, flag, value):
+        from gridsynth.metrics import full_report
+
+        rng = np.random.default_rng(0)
+        full_report(rng.uniform(0, 500, (4, 96)), rng.uniform(0, 500, (4, 96))).save(
+            tmp_path / "r.json")
+        capsys.readouterr()
+        argv = ["report", flag, value, str(tmp_path / "r.json"), "--out", str(tmp_path / "cmp")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1 and flag in err, err
+        assert not (tmp_path / "cmp").exists()
+        assert cli.main(["report", str(tmp_path / "r.json"), "--out", str(tmp_path / "cmp")]) == 0
+
+
 class TestMalformedArtifacts:
     @pytest.mark.parametrize("target,how", [
         (cli.DAYMATRIX_CSV, "non_numeric"),
@@ -372,6 +396,36 @@ class TestMalformedArtifacts:
         argv = ["train", "--config", str(cfg_path), "--model", "gan", "--resume", str(ckpt)]
         assert cli.main(argv) == 2
         assert "checkpoint is for 'vaegan'" in capsys.readouterr().err
+
+    def _resume_other_run(self, tmp_path, capsys, csv_seed=0, **b_overrides):
+        """Train run A (the workspace config), then resume run B from A's
+        checkpoint; returns (exit code, stderr, B's run dir)."""
+        cfg_a = write_config(tmp_path, tmp_path / "house.csv")
+        assert cli.main(["ingest", "--config", str(cfg_a)]) == 0
+        assert cli.main(["train", "--config", str(cfg_a)]) == 0
+        ckpt = run_dir(load_run_config(cfg_a)) / cli.CHECKPOINT
+        other = tmp_path / "b"
+        other.mkdir()
+        cfg_b = write_config(other, make_raw_csv(other / "house.csv", seed=csv_seed),
+                             out_dir=tmp_path / "runs", **b_overrides)
+        assert cli.main(["ingest", "--config", str(cfg_b)]) == 0
+        rd_b = run_dir(load_run_config(cfg_b))
+        capsys.readouterr()
+        code = cli.main(["train", "--config", str(cfg_b), "--resume", str(ckpt)])
+        return code, capsys.readouterr().err, rd_b
+
+    def test_resume_with_other_arch_is_2(self, workspace, capsys):
+        code, err, rd_b = self._resume_other_run(workspace[0], capsys, channels=4)
+        assert code == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert "channels 3 vs 4" in err
+        assert not list(rd_b.glob("*.npz"))
+
+    def test_resume_on_other_data_is_2(self, workspace, capsys):
+        code, err, rd_b = self._resume_other_run(workspace[0], capsys, csv_seed=1)
+        assert code == 2
+        assert err.startswith("data error: ") and "normalization" in err and "norm_min" in err
+        assert not list(rd_b.glob("*.npz"))
 
     def test_day_matrix_without_normalization_is_2(self, workspace, capsys):
         _, cfg_path = workspace
@@ -484,6 +538,37 @@ class TestEvaluateProvenance:
         assert real != fake
         assert f"norm_min is {real!r}" in err and f"but {fake!r}" in err
 
+    def test_kind_other_than_config_is_2(self, workspace, capsys):
+        # a PV day matrix and its PV synthetic days, scored under a load config
+        tmp_path, _ = workspace
+        pv_cfg = write_config(tmp_path, tmp_path / "house.csv", kind="pv")
+        for command in ("ingest", "train", "generate"):
+            assert cli.main([command, "--config", str(pv_cfg)]) == 0
+        rd = run_dir(load_run_config(pv_cfg))
+        load_cfg = write_config(tmp_path, tmp_path / "house.csv")
+        capsys.readouterr()
+        argv = ["evaluate", "--config", str(load_cfg), str(rd / cli.DAYMATRIX_CSV),
+                str(rd / cli.SYNTH_CSV)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert f"kind is 'pv' in {rd / cli.DAYMATRIX_CSV} but 'load' in the config" in err
+        assert not (run_dir(load_run_config(load_cfg)) / cli.REPORT_JSON).exists()
+
+    @pytest.mark.parametrize("schema", [None, "gridsynth.daymatrix/2", "daymatrix"])
+    def test_day_matrix_without_known_schema_is_2(self, workspace, synthetic, capsys, schema):
+        # without the schema line the normalized values used to be scored as watts
+        sidecar = Path(str(synthetic.with_name(cli.DAYMATRIX_CSV)) + ".meta")
+        lines = [line for line in sidecar.read_text(encoding="utf-8").splitlines()
+                 if not line.startswith("schema")]
+        if schema is not None:
+            lines.insert(0, f"schema = {schema}")
+        sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(workspace[1])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "schema" in err and cli.DAYMATRIX_CSV in err
+
     def test_non_numeric_norm_is_2(self, workspace, synthetic, capsys):
         sidecar = Path(str(synthetic) + ".meta")
         lines = sidecar.read_text(encoding="utf-8").splitlines()
@@ -492,6 +577,90 @@ class TestEvaluateProvenance:
         capsys.readouterr()
         assert cli.main(["evaluate", "--config", str(workspace[1])]) == 2
         assert "norm_max must be a number" in capsys.readouterr().err
+
+
+MATRIX_FILES = tuple(
+    name + suffix for name in (cli.DAYMATRIX_CSV, cli.SYNTH_CSV) for suffix in ("", ".meta")
+)
+
+
+@pytest.fixture(scope="module")
+def matrix_run(tmp_path_factory):
+    """(config path, run dir, the bytes of each of MATRIX_FILES) of a
+    100-day ingest, train and generate. The matrix files are larger than the
+    csv module's 128 KiB field limit, so a stray quote can overrun it."""
+    tmp_path = tmp_path_factory.mktemp("matrix_fuzz")
+    cfg_path = write_config(tmp_path, make_raw_csv(tmp_path / "house.csv", n_days=100),
+                            batch_size=50, n_synthetic=100)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in ("ingest", "train", "generate"):
+            assert cli.main([command, "--config", str(cfg_path)]) == 0
+    rd = run_dir(load_run_config(cfg_path))
+    return cfg_path, rd, {name: (rd / name).read_bytes() for name in MATRIX_FILES}
+
+
+def _truncated(data, draw):
+    return data[: draw(st.integers(0, len(data) - 1))]
+
+
+def _byte_flipped(data, draw):
+    damaged = bytearray(data)
+    flips = st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255))
+    for at, mask in draw(st.lists(flips, min_size=1, max_size=4)):
+        damaged[at] ^= mask
+    return bytes(damaged)
+
+
+def _garbled(data, draw):
+    # a span replaced by text rich in what CSV, floats and key = value lines
+    # parse, often at the start of a field, where a quote opens a quoted one
+    at = draw(st.integers(0, len(data) - 1))
+    if draw(st.booleans()):
+        boundary = re.compile(rb"[,\n]").search(data, at)
+        at = boundary.end() if boundary else at
+    end = draw(st.integers(at, min(len(data), at + 12)))
+    lead = draw(st.sampled_from(['"', ",", "\n", "=", "#", "e", "-", "\x00", ""]))
+    text = lead + draw(st.text(alphabet='"0123456789.,-e\n= #infa\x00\u00e9', max_size=6)
+                       | st.text(max_size=4))
+    return data[:at] + text.encode("utf-8") + data[end:]
+
+
+def _transcoded(data, draw):
+    text = data.decode("utf-8")
+    encoding = draw(st.sampled_from(["utf-16", "utf-32", "utf-8-sig", "cp1252", "crlf"]))
+    if encoding == "crlf":
+        return text.replace("\n", "\r\n").encode("utf-8")
+    return text.encode(encoding)
+
+
+class TestMatrixFuzz:
+    """Damaged day matrices, synthetic CSVs and their .meta files load or
+    raise DataError; evaluate on them exits 0 or 2 with one line, never with
+    an uncaught exception."""
+
+    @pytest.mark.parametrize("target", MATRIX_FILES)
+    @pytest.mark.parametrize("damage", [_truncated, _byte_flipped, _garbled, _transcoded],
+                             ids=["truncated", "byte_flipped", "garbled", "transcoded"])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_damaged_matrix_file(self, matrix_run, target, damage, data):
+        cfg_path, rd, good = matrix_run
+        for name, content in good.items():
+            (rd / name).write_bytes(content)
+        (rd / target).write_bytes(damage(good[target], data.draw))
+        try:
+            if target.startswith(cli.DAYMATRIX_CSV):
+                load_day_matrix(rd / cli.DAYMATRIX_CSV)
+            else:
+                synth.load_exported(rd / cli.SYNTH_CSV)
+        except DataError:
+            pass
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["evaluate", "--config", str(cfg_path)])
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("data error: ") and err.getvalue().count("\n") == 1
 
 
 class TestGenerateFlags:

@@ -131,12 +131,12 @@ class TestResample:
         return dp.TimeSeries(np.asarray(ts), np.asarray(values, dtype=float), period)
 
     def test_mean_of_three(self):
-        out = dp.resample(self.series([10.0, 20.0, 30.0]), 15)
+        out = dp.resample(self.series([10.0, 20.0, 30.0]))
         assert len(out) == 1
         np.testing.assert_allclose(out.values, [20.0])
 
     def test_constant_series_stays_constant(self):
-        out = dp.resample(self.series([7.0] * 12), 15)
+        out = dp.resample(self.series([7.0] * 12))
         np.testing.assert_allclose(out.values, [7.0] * 4)
 
     def test_partial_window_emits_gap(self):
@@ -144,17 +144,17 @@ class TestResample:
         full = self.series([1.0] * 6)
         keep = np.array([0, 1, 2, 3, 5])
         series = dp.TimeSeries(full.timestamps[keep], full.values[keep], 5)
-        out = dp.resample(series, 15)
+        out = dp.resample(series)
         assert np.isfinite(out.values[0])
         assert np.isnan(out.values[1])
 
     def test_non_multiple_period_rejected(self):
         with pytest.raises(DataError, match="multiple"):
-            dp.resample(self.series([1.0, 2.0]), 7)
+            dp.resample(self.series([1.0, 2.0], period=7))
 
     def test_same_period_is_identity(self):
         series = self.series([1.0, 2.0, 3.0], period=15)
-        out = dp.resample(series, 15)
+        out = dp.resample(series)
         np.testing.assert_array_equal(out.values, series.values)
         np.testing.assert_array_equal(out.timestamps, series.timestamps)
 
@@ -162,8 +162,8 @@ class TestResample:
     def test_resample_idempotent(self, n, seed_offset):
         rng = np.random.default_rng(n * 7 + seed_offset)
         series = self.series(list(rng.uniform(0, 100, size=3 * n)))
-        once = dp.resample(series, 15)
-        twice = dp.resample(once, 15)
+        once = dp.resample(series)
+        twice = dp.resample(once)
         np.testing.assert_array_equal(once.timestamps, twice.timestamps)
         np.testing.assert_array_equal(once.values, twice.values)
 
@@ -178,7 +178,7 @@ class TestResample:
             values = rng.normal(300.0, 200.0, size=n)
             odd = rng.random(n) < rng.choice([0.0, 0.02, 0.2])
             values[odd] = rng.choice(specials, size=int(odd.sum()))
-            out = dp.resample(dp.TimeSeries(ts, values, source), 15)
+            out = dp.resample(dp.TimeSeries(ts, values, source))
             want_ts, want = resample_add_at(ts, values, source, 15)
             np.testing.assert_array_equal(out.timestamps, want_ts, err_msg=f"trial {trial}")
             assert out.values.tobytes() == want.tobytes(), f"trial {trial}"
@@ -208,7 +208,7 @@ class TestCleanDays:
         ts = np.arange(n, dtype=np.int64) * 300
         vals = np.full(n, 50.0)
         keep = np.setdiff1d(np.arange(n), [288 + 100])
-        series = dp.resample(dp.TimeSeries(ts[keep], vals[keep], 5), 15)
+        series = dp.resample(dp.TimeSeries(ts[keep], vals[keep], 5))
         matrix = dp.clean_days(series)
         assert matrix.n_days == 1
 
@@ -328,7 +328,7 @@ def demo_year(gaps, seed=11):
         for start in rng.choice(n - 40, size=60, replace=False):
             keep[start:start + int(rng.integers(1, 12))] = False
     series = dp.TimeSeries(ts[keep], values[keep], 5)
-    out = dp.resample(series, 15)
+    out = dp.resample(series)
     want_ts, want = resample_add_at(series.timestamps, series.values, 5, 15)
     assert out.values.tobytes() == want.tobytes()
     np.testing.assert_array_equal(out.timestamps, want_ts)
@@ -472,6 +472,54 @@ class TestDayMatrixIO:
         sidecar = tmp_path / "m.csv.meta"
         sidecar.write_text(sidecar.read_text().replace("norm_min = 0.0", "norm_min = abc"))
         with pytest.raises(DataError, match="norm_min"):
+            dp.load_day_matrix(path)
+
+
+class TestMatrixSchema:
+    def save(self, tmp_path):
+        path = tmp_path / "m.csv"
+        dp.save_day_matrix(dp.normalize(dp.DayMatrix(np.arange(192.0).reshape(2, 96))), path)
+        return path
+
+    @pytest.mark.parametrize("schema", [None, "", "gridsynth.daymatrix/2", "gridsynth.metrics/1"])
+    def test_unknown_schema_is_data_error(self, tmp_path, schema):
+        path = self.save(tmp_path)
+        sidecar = tmp_path / "m.csv.meta"
+        lines = sidecar.read_text().splitlines()[1:]
+        sidecar.write_text("\n".join(lines if schema is None else [f"schema = {schema}"] + lines))
+        for load in (dp.read_matrix, dp.load_day_matrix):
+            with pytest.raises(DataError, match="schema"):
+                load(path)
+
+    def test_synthetic_batch_is_not_a_day_matrix(self, tmp_path):
+        path = tmp_path / "s.csv"
+        dp.write_matrix(path, np.full((2, 96), 300.0), {"schema": dp.SYNTH_SCHEMA, "kind": "load"})
+        assert dp.read_matrix(path)[1]["schema"] == dp.SYNTH_SCHEMA
+        with pytest.raises(DataError, match="not a day matrix"):
+            dp.load_day_matrix(path)
+
+    def test_stray_quote_in_large_file_is_data_error(self, tmp_path):
+        # the quote opens one field that runs past the csv module's size limit
+        path = tmp_path / "m.csv"
+        values = np.random.default_rng(0).uniform(0, 900, (100, 96))
+        dp.save_day_matrix(dp.normalize(dp.DayMatrix(values)), path)
+        data = path.read_bytes()
+        assert len(data) > 131072
+        at = data.index(b"\n") + 1
+        path.write_bytes(data[:at] + b'"' + data[at + 1:])
+        with pytest.raises(DataError, match="malformed CSV"):
+            dp.load_day_matrix(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("norm_max", "inf"), ("norm_min", "-inf"), ("norm_max", "nan"),
+    ])
+    def test_non_finite_normalization_is_data_error(self, tmp_path, key, value):
+        path = self.save(tmp_path)
+        sidecar = tmp_path / "m.csv.meta"
+        lines = [f"{key} = {value}" if line.startswith(key) else line
+                 for line in sidecar.read_text().splitlines()]
+        sidecar.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="finite"):
             dp.load_day_matrix(path)
 
 

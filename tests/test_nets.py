@@ -45,6 +45,20 @@ def gan(rng):
     return nets.GanModel(TINY, rng)
 
 
+def _encode(model, x):
+    """The encoder's (mean, logvar) on (B, T) profiles, from one forward."""
+    xin = ad.Input("x")
+    mean, logvar = model.encoder.build(xin)
+    ad.forward(ad.Add(ad.Sum(mean), ad.Sum(logvar)), {xin: x[:, None, :]})
+    return mean.value, logvar.value
+
+
+def _discriminate(model, x):
+    """D's probability that each (B, T) profile is real."""
+    xin = ad.Input("x")
+    return ad.sigmoid(ad.forward(model.discriminator.build(xin), {xin: x[:, None, :]})[:, 0])
+
+
 class TestEncode:
     def test_zero_initialized_heads_give_zero(self, vaegan, rng):
         # with freshly zeroed head weights, any input maps to mean=0, logvar=0
@@ -52,26 +66,26 @@ class TestEncode:
                   vaegan.encoder.w_logvar, vaegan.encoder.b_logvar):
             p.value[...] = 0.0
         x = rng.uniform(0, 1, size=(3, 16))
-        mean, logvar = nets.encode(vaegan, x)
+        mean, logvar = _encode(vaegan, x)
         np.testing.assert_array_equal(mean, np.zeros((3, 4)))
         np.testing.assert_array_equal(logvar, np.zeros((3, 4)))
 
     def test_batch_shape(self, vaegan, rng):
-        mean, logvar = nets.encode(vaegan, rng.uniform(0, 1, size=(5, 16)))
+        mean, logvar = _encode(vaegan, rng.uniform(0, 1, size=(5, 16)))
         assert mean.shape == (5, 4)
         assert logvar.shape == (5, 4)
 
     def test_deterministic(self, vaegan, rng):
         x = rng.uniform(0, 1, size=(2, 16))
-        a = nets.encode(vaegan, x)
-        b = nets.encode(vaegan, x)
+        a = _encode(vaegan, x)
+        b = _encode(vaegan, x)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_logvar_clamped(self, vaegan, rng):
         # force a huge logvar head weight; the clamp must cap the output
         vaegan.encoder.w_logvar.value[...] = 100.0
-        _, logvar = nets.encode(vaegan, rng.uniform(0.5, 1, size=(2, 16)))
+        _, logvar = _encode(vaegan, rng.uniform(0.5, 1, size=(2, 16)))
         assert np.all(logvar <= TINY.logvar_clip)
         assert np.all(logvar >= -TINY.logvar_clip)
 
@@ -214,24 +228,24 @@ class TestDiscriminateNoise:
     """D's probabilities on i.i.d. standard-normal sequences from a seeded rng."""
 
     def test_reproducible(self, vaegan):
-        a = nets.discriminate(vaegan, np.random.default_rng(9).standard_normal((4, TINY.seq_len)))
-        b = nets.discriminate(vaegan, np.random.default_rng(9).standard_normal((4, TINY.seq_len)))
+        a = _discriminate(vaegan, np.random.default_rng(9).standard_normal((4, TINY.seq_len)))
+        b = _discriminate(vaegan, np.random.default_rng(9).standard_normal((4, TINY.seq_len)))
         np.testing.assert_array_equal(a, b)
 
     def test_batch_shape(self, vaegan):
-        probs = nets.discriminate(vaegan, np.random.default_rng(1).standard_normal((6, TINY.seq_len)))
+        probs = _discriminate(vaegan, np.random.default_rng(1).standard_normal((6, TINY.seq_len)))
         assert probs.shape == (6,)
 
     def test_zero_initialized_head_gives_half(self, vaegan):
         vaegan.discriminator.w_head.value[...] = 0.0
         vaegan.discriminator.b_head.value[...] = 0.0
-        probs = nets.discriminate(vaegan, np.random.default_rng(2).standard_normal((5, TINY.seq_len)))
+        probs = _discriminate(vaegan, np.random.default_rng(2).standard_normal((5, TINY.seq_len)))
         np.testing.assert_allclose(probs, 0.5)
 
     def test_probabilities_in_open_interval(self, vaegan, rng):
         for p in nets.all_params(vaegan).values():
             p.value += rng.standard_normal(p.value.shape)
-        probs = nets.discriminate(vaegan, rng.standard_normal((8, TINY.seq_len)))
+        probs = _discriminate(vaegan, rng.standard_normal((8, TINY.seq_len)))
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
 
@@ -293,7 +307,7 @@ class TestLeanBackward:
 
 
 class TestChunkedInference:
-    @pytest.mark.parametrize("wrapper", ["encode", "generate", "discriminate"])
+    @pytest.mark.parametrize("wrapper", ["generate"])
     def test_graph_freed_on_return_without_gc(self, vaegan, rng, monkeypatch, wrapper):
         roots = []
         forward = ad.forward
@@ -303,12 +317,10 @@ class TestChunkedInference:
             return forward(root, bindings)
 
         monkeypatch.setattr(ad, "forward", spy)
-        rows = nets._INFER_CHUNK + 6
-        arg = (rng.standard_normal((rows, TINY.latent_dim)) if wrapper == "generate"
-               else rng.uniform(0, 1, size=(rows, TINY.seq_len)))
+        z = rng.standard_normal((nets._INFER_CHUNK + 6, TINY.latent_dim))
         gc.disable()
         try:
-            getattr(nets, wrapper)(vaegan, arg)
+            getattr(nets, wrapper)(vaegan, z)
             assert len(roots) == 2 and all(ref() is None for ref in roots)
         finally:
             gc.enable()
@@ -323,19 +335,13 @@ class TestChunkedInference:
         ad.forward(out, {zin: z})
         assert nets.generate(model, z).tobytes() == out.value[:, 0, :].tobytes()
 
-    @pytest.mark.parametrize("wrapper", ["encode", "generate", "discriminate"])
+    @pytest.mark.parametrize("wrapper", ["generate"])
     def test_leading_rows_do_not_depend_on_batch_size(self, vaegan, rng, wrapper):
         # each row keeps its chunk and its place in it; padding only fills the rest
-        def outputs(rows):
-            out = getattr(nets, wrapper)(vaegan, rows)
-            return out if wrapper == "encode" else (out,)
-
-        width = TINY.latent_dim if wrapper == "generate" else TINY.seq_len
-        rows = rng.uniform(0, 1, size=(2 * nets._INFER_CHUNK + 1, width))
-        whole = outputs(rows)
+        z = rng.uniform(0, 1, size=(2 * nets._INFER_CHUNK + 1, TINY.latent_dim))
+        whole = getattr(nets, wrapper)(vaegan, z)
         for n in (1, nets._INFER_CHUNK - 1, nets._INFER_CHUNK, nets._INFER_CHUNK + 1):
-            for part, full in zip(outputs(rows[:n]), whole):
-                assert part.tobytes() == full[:n].tobytes()
+            assert getattr(nets, wrapper)(vaegan, z[:n]).tobytes() == whole[:n].tobytes()
 
 
 class TestDTrainsOnSeparableData:

@@ -1,4 +1,5 @@
 """Adam updates, determinism, resume equivalence and the divergence guard."""
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from gridsynth import autodiff as ad
 from gridsynth import nets, trainer, toydata
-from gridsynth.errors import TrainingDiverged
+from gridsynth.errors import DataError, TrainingDiverged
 
 TINY = nets.ArchConfig(seq_len=96, latent_dim=4, channels=3, kernel_size=3, dilations=(1, 2))
 
@@ -295,6 +296,31 @@ class TestResume:
         final_full = (tmp_path / "full" / "checkpoint.npz").read_bytes()
         final_res = (tmp_path / "res" / "checkpoint.npz").read_bytes()
         assert final_full == final_res
+
+
+class TestResumeMustMatchRun:
+    """A resume continues the requested run or writes nothing."""
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        trainer.train_gan(tiny_data(), quick_cfg(epochs=1), arch=TINY,
+                          checkpoint_dir=tmp_path / "a")
+        return nets.load_checkpoint(tmp_path / "a" / "checkpoint.npz")
+
+    def test_other_arch_is_data_error(self, checkpoint, tmp_path):
+        wider = dataclasses.replace(TINY, channels=5)
+        with pytest.raises(DataError, match="arch .*channels 3 vs 5"):
+            trainer.train_gan(tiny_data(), quick_cfg(), arch=wider, resume=checkpoint,
+                              checkpoint_dir=tmp_path / "b")
+        assert not (tmp_path / "b").exists()
+
+    def test_other_normalization_is_data_error(self, checkpoint, tmp_path):
+        other = tiny_data(seed=4)
+        assert other.norm_max != checkpoint.norm_meta["norm_max"]
+        with pytest.raises(DataError, match="normalization .*norm_max"):
+            trainer.train_gan(other, quick_cfg(), arch=TINY, resume=checkpoint,
+                              checkpoint_dir=tmp_path / "b")
+        assert not (tmp_path / "b").exists()
 
 
 class TestDivergenceGuard:
