@@ -358,16 +358,6 @@ class Clamp(Node):
         return (g * ((x >= self.lo) & (x <= self.hi)),)
 
 
-class Sum(Node):
-    op = "sum"
-
-    def _forward(self, x):
-        return np.asarray(x.sum())
-
-    def _backward(self, g, needs, x):
-        return (np.broadcast_to(g, x.shape).copy(),)
-
-
 class Mse(Node):
     """Mean over all elements of (a - b)^2."""
 

@@ -47,10 +47,10 @@ def build_parser() -> _Parser:
             formatter_class=argparse.RawDescriptionHelpFormatter, **kwargs
         )
         p.add_argument("--config", metavar="path", help="key = value config file")
-        p.add_argument("--model", choices=["vaegan", "gan"], help="model kind override")
-        p.add_argument("--seed", type=int, help="seed override")
+        p.add_argument("--model", metavar="vaegan|gan", help="model kind override")
+        p.add_argument("--seed", help="seed override")
         p.add_argument("--out", metavar="dir", help="output directory override")
-        p.add_argument("--bins", type=int, help="histogram bins for KL")
+        p.add_argument("--bins", help="histogram bins for KL")
         p.add_argument("--sigma", metavar="median|float", help="MMD kernel bandwidth")
         return p
 
@@ -58,7 +58,7 @@ def build_parser() -> _Parser:
     train = add("train", "train the configured model on the ingested day matrix")
     train.add_argument("--resume", metavar="checkpoint", help="continue from a checkpoint file")
     gen = add("generate", "sample synthetic days from the trained checkpoint")
-    gen.add_argument("--n", type=int, help="number of days to generate")
+    gen.add_argument("--n", help="number of days to generate")
     ev = add("evaluate", "score synthetic days against the real day matrix")
     ev.add_argument("real_path", nargs="?", help="ingested day matrix CSV (default: run dir)")
     ev.add_argument("synth_path", nargs="?", help="synthetic CSV (default: run dir)")
@@ -145,8 +145,10 @@ def _load_watts(path) -> tuple[np.ndarray, dict[str, str]]:
     values, meta = synth.load_exported(path)
     if meta["schema"] != datapipe.DAYMATRIX_SCHEMA:
         return values, meta
-    matrix = datapipe.day_matrix_from(values, meta)
-    return (datapipe.denormalize(matrix) if matrix.normalized else matrix.values), meta
+    try:
+        return datapipe.denormalize(datapipe.day_matrix_from(values, meta)), meta
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}")
 
 
 def _check_same_data(kind, real_path, real_meta, synth_path, synth_meta) -> None:

@@ -7,7 +7,6 @@ settings that produced them.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -17,12 +16,14 @@ from .datapipe import (
 )
 from .nets import ArchConfig
 from .trainer import TrainConfig
-from .metrics import MetricsConfig, check_alphas
+from .metrics import MetricsConfig
 
 
 @dataclass
 class RunConfig:
-    """Every knob of the pipeline; all fields default except input_path."""
+    """Every knob of the pipeline as the flat file spells it; all fields
+    default except input_path. The model, training and metrics keys take
+    their defaults and rules from ArchConfig, TrainConfig and MetricsConfig."""
 
     # data
     input_path: str = ""
@@ -34,74 +35,59 @@ class RunConfig:
     day_completeness: float = 1.0
     # model
     model: str = "vaegan"  # vaegan | gan
-    latent_dim: int = 32
-    channels: int = 32
-    kernel_size: int = 3
-    dilations: str = "1,2,4,8"
-    leaky_slope: float = 0.2
+    latent_dim: int = ArchConfig.latent_dim
+    channels: int = ArchConfig.channels
+    kernel_size: int = ArchConfig.kernel_size
+    dilations: str = ",".join(map(str, ArchConfig.dilations))
+    leaky_slope: float = ArchConfig.leaky_slope
     # training
-    epochs: int = 200
-    batch_size: int = 32
-    lr_g: float = 2e-4
-    lr_d: float = 2e-4
-    adam_beta1: float = 0.5
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    d_steps_per_g_step: int = 1
-    checkpoint_every: int = 0
-    fake_source: str = "reconstruction"
-    seed: int = 0
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    lr_g: float = TrainConfig.lr_g
+    lr_d: float = TrainConfig.lr_d
+    adam_beta1: float = TrainConfig.adam_beta1
+    adam_beta2: float = TrainConfig.adam_beta2
+    adam_eps: float = TrainConfig.adam_eps
+    d_steps_per_g_step: int = TrainConfig.d_steps_per_g_step
+    checkpoint_every: int = TrainConfig.checkpoint_every
+    fake_source: str = TrainConfig.fake_source
+    seed: int = TrainConfig.seed
     # generation + metrics
     n_synthetic: int = 512
-    bins: int = 100
-    sigma: str = "median"  # median | finite positive float
-    mmd_on: str = "days"  # days | pooled
-    alpha_high: float = 0.9
-    alpha_low: float = 0.1
+    bins: int = MetricsConfig.bins
+    sigma: str = MetricsConfig.sigma
+    mmd_on: str = MetricsConfig.mmd_on
+    alpha_high: float = MetricsConfig.alpha_high
+    alpha_low: float = MetricsConfig.alpha_low
     # output
     out_dir: str = "runs"
 
     def _derive(self, cls, **parsed):
-        """cls built from the fields it shares by name with RunConfig."""
+        """cls built from the fields it shares by name with RunConfig; a
+        value that breaks one of its rules is a usage error."""
         shared = {
             f.name: getattr(self, f.name) for f in fields(cls) if f.name in self.__dataclass_fields__
         }
-        return cls(**{**shared, **parsed})
+        try:
+            return cls(**{**shared, **parsed})
+        except (ValueError, DataError) as exc:
+            raise UsageError(str(exc))
 
     def arch_config(self) -> ArchConfig:
         try:
-            dilations = tuple(int(d) for d in self.dilations.split(",") if d.strip())
+            dilations = tuple(int(d) for d in self.dilations.split(","))
         except ValueError:
             raise UsageError(f"dilations must be comma-separated integers, got {self.dilations!r}")
-        if not dilations or any(d < 1 for d in dilations):
-            raise UsageError(f"dilations must be positive, got {self.dilations!r}")
-        try:
-            return self._derive(ArchConfig, dilations=dilations)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        return self._derive(ArchConfig, dilations=dilations)
 
     def train_config(self) -> TrainConfig:
-        cfg = self._derive(TrainConfig)
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        return cfg
+        return self._derive(TrainConfig)
 
     def metrics_config(self) -> MetricsConfig:
-        if self.sigma == "median":
-            sigma: str | float = "median"
-        else:
-            try:
-                sigma = float(self.sigma)
-            except ValueError:
-                raise UsageError(f"sigma must be 'median' or a number, got {self.sigma!r}")
-            if not (math.isfinite(sigma) and sigma > 0):
-                raise UsageError(f"sigma must be a finite positive number, got {sigma}")
         try:
-            check_alphas(self.alpha_high, self.alpha_low)
-        except DataError as exc:
-            raise UsageError(str(exc))
+            sigma: str | float = float(self.sigma)
+        except ValueError:
+            sigma = self.sigma  # "median", or text that MetricsConfig rejects
         return self._derive(MetricsConfig, sigma=sigma)
 
     def validate(self) -> None:
@@ -109,10 +95,6 @@ class RunConfig:
             raise UsageError(f"model must be vaegan|gan, got {self.model!r}")
         if self.kind not in ("load", "pv"):
             raise UsageError(f"kind must be load|pv, got {self.kind!r}")
-        if self.mmd_on not in ("days", "pooled"):
-            raise UsageError(f"mmd_on must be days|pooled, got {self.mmd_on!r}")
-        if self.bins < 1:
-            raise UsageError(f"bins must be >= 1, got {self.bins}")
         if self.n_synthetic < 1:
             raise UsageError(f"n_synthetic must be >= 1, got {self.n_synthetic}")
         try:

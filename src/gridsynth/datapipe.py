@@ -197,11 +197,11 @@ def check_period(source_minutes: int) -> None:
     """The resampling rule: a source period is a positive divisor of the
     slot period, so every slot window holds a whole number of samples."""
     if source_minutes <= 0:
-        raise DataError(f"source period must be positive, got {source_minutes} min")
+        raise DataError(f"source_period_minutes must be positive, got {source_minutes}")
     if SLOT_MINUTES % source_minutes != 0:
         raise DataError(
-            f"target period {SLOT_MINUTES} min is not a multiple of "
-            f"source period {source_minutes} min"
+            f"source_period_minutes must divide {SLOT_MINUTES}: the {SLOT_MINUTES}-minute slot "
+            f"is not a multiple of {source_minutes} min"
         )
 
 
@@ -281,7 +281,7 @@ def clean_days(
 def check_completeness(completeness: float) -> None:
     """The `day_completeness` rule: a fraction in (0, 1]."""
     if not 0.0 < completeness <= 1.0:
-        raise DataError(f"completeness must be in (0, 1], got {completeness}")
+        raise DataError(f"day_completeness must be in (0, 1], got {completeness}")
 
 
 def normalize(matrix: DayMatrix) -> DayMatrix:

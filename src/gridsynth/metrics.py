@@ -291,7 +291,8 @@ def _check_days(days, alpha_high: float, alpha_low: float) -> None:
 def check_alphas(alpha_high: float, alpha_low: float) -> None:
     """The load-shape band rule: 0 < alpha_low < alpha_high <= 1."""
     if not 0.0 < alpha_low < alpha_high <= 1.0:
-        raise DataError(f"need 0 < alpha_low < alpha_high <= 1, got {alpha_low}, {alpha_high}")
+        raise DataError(f"need 0 < alpha_low < alpha_high <= 1, got alpha_low = {alpha_low}, "
+                        f"alpha_high = {alpha_high}")
 
 
 def _day_shape(day, peak: float, base: float, alpha_high: float, alpha_low: float) -> DayShape:
@@ -334,13 +335,28 @@ def aggregate_stats(days, alpha_high: float = 0.9, alpha_low: float = 0.1) -> di
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricsConfig:
+    """Scoring settings; each value is checked when the config is built."""
+
     bins: int = DEFAULT_BINS
-    sigma: str | float = "median"  # "median" or a positive bandwidth
+    sigma: str | float = "median"  # "median" or a finite positive bandwidth
     mmd_on: str = "days"  # "days" (96-dim vectors) or "pooled" (scalars)
     alpha_high: float = 0.9
     alpha_low: float = 0.1
+
+    def __post_init__(self):
+        if self.bins < 1:
+            raise DataError(f"bins must be >= 1, got {self.bins}")
+        if isinstance(self.sigma, str):
+            if self.sigma != "median":
+                raise DataError(f"sigma must be 'median' or a finite positive number, "
+                                f"got {self.sigma!r}")
+        elif not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise DataError(f"sigma must be a finite positive number, got {self.sigma}")
+        if self.mmd_on not in ("days", "pooled"):
+            raise DataError(f"mmd_on must be days|pooled, got {self.mmd_on!r}")
+        check_alphas(self.alpha_high, self.alpha_low)
 
 
 # MetricsReport field annotation -> the JSON values load() accepts for it
@@ -420,15 +436,11 @@ def full_report(
 
     if cfg.mmd_on == "days":
         mx, my = real, synth
-    elif cfg.mmd_on == "pooled":
+    else:
         mx = _cap_samples(pooled_real, MAX_POOLED_MMD_SAMPLES)
         my = _cap_samples(pooled_synth, MAX_POOLED_MMD_SAMPLES)
-    else:
-        raise DataError(f"mmd_on must be 'days' or 'pooled', got {cfg.mmd_on!r}")
     shared = []  # days mode: the bandwidth's pairwise distances serve MMD too
     if isinstance(cfg.sigma, str):
-        if cfg.sigma != "median":
-            raise DataError(f"sigma must be 'median' or a number, got {cfg.sigma!r}")
         sigma = median_heuristic_sigma(mx, my, sq_dists_out=shared)
         sigma_mode = "median"
     else:

@@ -47,9 +47,12 @@ class ArchConfig:
     logvar_clip: float = 10.0
 
     def __post_init__(self):
-        sizes = (self.seq_len, self.latent_dim, self.channels, self.kernel_size, *self.dilations)
-        if not all(_is_count(n) and n > 0 for n in sizes):
-            raise ValueError(f"sizes and dilations must be positive integers, got {self}")
+        for key in ("seq_len", "latent_dim", "channels", "kernel_size"):
+            value = getattr(self, key)
+            if not (_is_count(value) and value > 0):
+                raise ValueError(f"{key} must be a positive integer, got {value!r}")
+        if not (self.dilations and all(_is_count(d) and d > 0 for d in self.dilations)):
+            raise ValueError(f"dilations must be one or more positive integers, got {self.dilations!r}")
         if not (_is_number(self.leaky_slope) and 0.0 < self.leaky_slope <= 1.0):
             raise ValueError(f"leaky_slope must be in (0, 1], got {self.leaky_slope!r}")
         if not (_is_number(self.logvar_clip) and self.logvar_clip > 0):

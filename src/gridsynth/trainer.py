@@ -27,8 +27,10 @@ from . import nets
 from .datapipe import DayMatrix, replaced_on_success
 from .errors import DataError, TrainingDiverged
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Optimization settings; each value is checked when the config is built."""
+
     epochs: int = 200
     batch_size: int = 32
     lr_g: float = 2e-4
@@ -41,21 +43,22 @@ class TrainConfig:
     checkpoint_every: int = 0  # epochs between periodic checkpoints; 0 = final only
     fake_source: str = "reconstruction"  # what D treats as fake: reconstruction | prior
 
-    def validate(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1 or self.d_steps_per_g_step < 1:
-            raise ValueError("epochs, batch_size and d_steps_per_g_step must be >= 1")
-        if not (0 <= self.lr_g < math.inf and 0 <= self.lr_d < math.inf):
-            raise ValueError(
-                f"learning rates must be finite and >= 0, got {self.lr_g}, {self.lr_d}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.checkpoint_every < 0:
-            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1 and self.adam_eps > 0):
-            raise ValueError("invalid Adam hyperparameters")
-        if self.fake_source not in ("reconstruction", "prior"):
-            raise ValueError(f"fake_source must be reconstruction|prior, got {self.fake_source!r}")
+    def __post_init__(self):
+        for key, ok, rule in (
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("lr_g", 0 <= self.lr_g < math.inf, "finite and >= 0"),
+            ("lr_d", 0 <= self.lr_d < math.inf, "finite and >= 0"),
+            ("adam_beta1", 0 <= self.adam_beta1 < 1, "in [0, 1)"),
+            ("adam_beta2", 0 <= self.adam_beta2 < 1, "in [0, 1)"),
+            ("adam_eps", self.adam_eps > 0, "> 0"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("d_steps_per_g_step", self.d_steps_per_g_step >= 1, ">= 1"),
+            ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"),
+            ("fake_source", self.fake_source in ("reconstruction", "prior"), "reconstruction|prior"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
 
 class TrainLog:
@@ -167,7 +170,6 @@ def _train(model_cls, build_graph, data, cfg, arch, resume, checkpoint_dir):
     no Adam step has touched since (autodiff.reuse_plan), which gives the
     same values: the E phase of the default VAE-GAN re-evaluates no conv.
     """
-    cfg.validate()
     norm_meta = data.norm_meta
     if resume is not None:
         _check_resume(resume, model_cls.kind, arch, norm_meta)

@@ -3,13 +3,16 @@
 Everything here is deliberately written as plain loops over the defining
 formulas, sharing no code with gridsynth.metrics, so the two sides can
 disagree when one of them is wrong. The autodiff reference reuses only the
-ops' own _backward rules, not the engine's sweep.
+ops' own _backward rules, not the engine's sweep; Sum is a scalar root that
+tests put on top of the engine's ops.
 """
 import itertools
 import math
 from datetime import datetime, timedelta
 
 import numpy as np
+
+from gridsynth import autodiff as ad
 
 
 def kl_oracle(x, y, bins):
@@ -188,6 +191,18 @@ def spike_day(slot=40):
     day = np.zeros(96)
     day[slot] = 100.0
     return day
+
+
+class Sum(ad.Node):
+    """The sum of every element of the input: a scalar root for any graph."""
+
+    op = "sum"
+
+    def _forward(self, x):
+        return np.asarray(x.sum())
+
+    def _backward(self, g, needs, x):
+        return (np.broadcast_to(g, x.shape).copy(),)
 
 
 def zero_fill_backward(root):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridsynth import autodiff as ad
-from oracles import causal_conv_padded, causal_conv_padded_input_grad
+from oracles import Sum, causal_conv_padded, causal_conv_padded_input_grad
 
 
 def _const(value):
@@ -46,7 +46,7 @@ def test_forward_shape_mismatch_names_op():
 
 def test_backward_mean_distributes():
     p = ad.Param("p", [1.0, 2.0, 3.0, 4.0])
-    root = ad.Affine(ad.Sum(p), 1.0 / 4)  # the mean
+    root = ad.Affine(Sum(p), 1.0 / 4)  # the mean
     ad.forward(root)
     ad.backward(root)
     np.testing.assert_allclose(p.grad, [0.25] * 4)
@@ -72,7 +72,7 @@ def test_backward_bce_at_zero_logit_label_one():
 
 
 def test_backward_before_forward_raises():
-    root = ad.Sum(ad.Input("x"))
+    root = Sum(ad.Input("x"))
     with pytest.raises(ad.GraphError, match="before forward"):
         ad.backward(root)
 
@@ -87,7 +87,7 @@ def test_backward_non_scalar_root_raises():
 
 def test_grad_accumulates_across_branches():
     w = ad.Param("w", [0.3, -0.7])
-    branch_a = ad.Sum(ad.Tanh(w))
+    branch_a = Sum(ad.Tanh(w))
     branch_b = ad.Mse(w, _const([0.1, 0.2]))
     both = ad.Add(branch_a, branch_b)
     ad.forward(both)
@@ -206,7 +206,7 @@ class TestReparameterize:
 
 
 def _scalarize(node):
-    return ad.Sum(node)
+    return Sum(node)
 
 
 def _gradcheck_case(op_name: str, rng) -> float:
@@ -242,9 +242,6 @@ def _gradcheck_case(op_name: str, rng) -> float:
         # keep values away from the clamp boundaries at +-2
         target = ad.Param("p", rng.uniform(-1.5, 1.5, size=5))
         root = _scalarize(ad.Clamp(target, -2.0, 2.0))
-    elif op_name == "sum":
-        target = ad.Param("p", rng.standard_normal(6))
-        root = ad.Sum(ad.Tanh(target))
     elif op_name == "mse":
         target = ad.Param("p", rng.standard_normal((2, 3)))
         root = ad.Mse(target, _const(rng.standard_normal((2, 3))))
@@ -264,7 +261,7 @@ def _gradcheck_case(op_name: str, rng) -> float:
         target = mean if rng.uniform() < 0.5 else logvar
     elif op_name == "param":
         target = ad.Param("p", rng.standard_normal(4))
-        root = ad.Sum(target)
+        root = Sum(target)
     else:
         raise AssertionError(op_name)
     ad.forward(root, {})
@@ -273,7 +270,7 @@ def _gradcheck_case(op_name: str, rng) -> float:
 
 GRADCHECK_OPS = [
     "dense", "dilated_causal_conv1d", "leaky_relu", "tanh", "add", "affine",
-    "clamp", "sum", "mse", "bce", "gaussian_kl", "reparameterize", "param",
+    "clamp", "mse", "bce", "gaussian_kl", "reparameterize", "param",
 ]
 
 
@@ -282,6 +279,16 @@ def test_gradcheck_per_op_20_instances(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
     for _ in range(20):
         assert _gradcheck_case(op_name, rng) < 1e-4
+
+
+def test_gradcheck_sum_root_20_instances():
+    # the tests' scalar root is no engine op, but its gradient is checked alike
+    rng = np.random.default_rng(zlib.crc32(b"sum"))
+    for _ in range(20):
+        target = ad.Param("p", rng.standard_normal(6))
+        root = Sum(ad.Tanh(target))
+        ad.forward(root, {})
+        assert ad.grad_check(root, target, {}, step=1e-5) < 1e-4
 
 
 def test_gradcheck_fused_conv_leaky_relu_20_instances():
@@ -314,7 +321,7 @@ def test_gradcheck_linear_graph_is_exact():
     w = ad.Param("w", rng.standard_normal(5))
     x = ad.Input("x")
     # sum(w + x) is linear in w, so central differences are exact
-    root = ad.Sum(ad.Add(w, x))
+    root = Sum(ad.Add(w, x))
     bindings = {x: rng.standard_normal(5)}
     ad.forward(root, bindings)
     assert ad.grad_check(root, w, bindings, step=1e-4) < 1e-10
@@ -322,7 +329,7 @@ def test_gradcheck_linear_graph_is_exact():
 
 def test_gradcheck_constant_graph_zero_grad():
     w = ad.Param("w", [1.0, 2.0])
-    root = ad.Sum(_const([3.0]))
+    root = Sum(_const([3.0]))
     ad.forward(root)
     assert ad.grad_check(root, w, {}, step=1e-4) == 0.0
     np.testing.assert_array_equal(w.grad, [0.0, 0.0])
@@ -345,7 +352,7 @@ def test_gradcheck_two_layer_conv_net():
 
 def test_grad_check_step_bounds():
     p = ad.Param("p", [1.0])
-    root = ad.Sum(p)
+    root = Sum(p)
     ad.forward(root)
     with pytest.raises(ad.GraphError, match="step"):
         ad.grad_check(root, p, {}, step=1e-2)
@@ -354,7 +361,7 @@ def test_grad_check_step_bounds():
 @given(st.lists(st.floats(-100, 100), min_size=1, max_size=16))
 def test_sum_equals_numpy(values):
     x = ad.Input("x")
-    out = ad.forward(ad.Sum(x), {x: values})
+    out = ad.forward(Sum(x), {x: values})
     np.testing.assert_allclose(float(out), np.sum(np.asarray(values)), atol=1e-9)
 
 
@@ -497,7 +504,7 @@ class TestReuse:
         p, q = ad.Param("p", [1.0]), ad.Param("q", [1.0])
         h1 = ad.Tanh(ad.Add(x, p))
         h2 = ad.Tanh(ad.Add(h1, q))
-        l1, l2 = ad.Sum(h1), ad.Sum(h2)
+        l1, l2 = Sum(h1), Sum(h2)
         plan = ad.reuse_plan([(l1, [q]), (l2, [q]), (l2, [p]), (l2, []), (l1, [])])
         assert plan[0] == frozenset()
         assert plan[1] == frozenset([h1, h1.inputs[0]])  # h2 is not computed yet
@@ -516,7 +523,7 @@ def _two_branch_graph(rng):
     w2 = ad.Param("w2", rng.standard_normal((3, 3, 2)) * 0.5)
     b2 = ad.Param("b2", rng.standard_normal(3))
     h = ad.LeakyRelu(ad.DilatedCausalConv1d(x, w2, b2, 2), 0.2)
-    conv_branch = ad.Sum(ad.Tanh(ad.DilatedCausalConv1d(h, w2, b2, 1)))
+    conv_branch = Sum(ad.Tanh(ad.DilatedCausalConv1d(h, w2, b2, 1)))
     dense_branch = ad.Mse(ad.Dense(ad.Tanh(x), w1, b1), _const(np.zeros((4, 2))))
     root = ad.Add(conv_branch, dense_branch)
     ad.forward(root, {x: rng.standard_normal((4, 3, 4))})
@@ -562,7 +569,7 @@ class TestPrunedBackward:
         w = ad.Param("w", rng.standard_normal((2, 3, 2)))
         b = ad.Param("b", rng.standard_normal(2))
         conv = ad.DilatedCausalConv1d(x, w, b, 1)
-        root = ad.Sum(conv)
+        root = Sum(conv)
         ad.forward(root, {x: rng.standard_normal((2, 3, 5))})
         gx, gw, gb = conv._backward(np.ones((2, 2, 5)), (False, True, False), x.value, w.value, b.value)
         assert gx is None and gb is None and gw.shape == w.value.shape

@@ -4,7 +4,7 @@ import datetime as dtmod
 import io
 import json
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,9 @@ from gridsynth.config import (
 )
 from gridsynth.datapipe import load_day_matrix, read_kv_file
 from gridsynth.errors import DataError, UsageError
+from gridsynth.metrics import MetricsConfig
+from gridsynth.nets import ArchConfig
+from gridsynth.trainer import TrainConfig
 
 from test_datapipe import corrupt_matrix_csv, insert_non_utf8
 from test_nets import rewrite_checkpoint
@@ -169,17 +172,67 @@ class TestConfig:
         ("source_period_minutes", "0", "ingest"),
         ("source_period_minutes", "-5", "ingest"),
         ("source_period_minutes", "7", "ingest"),
+        ("kind", "wind", "ingest"),
+        ("model", "vae", "train"),
+        ("latent_dim", "0", "train"),
+        ("channels", "-1", "train"),
+        ("kernel_size", "0", "train"),
+        ("dilations", "1,0", "train"),
+        ("dilations", "1,,2", "train"),
+        ("dilations", "", "train"),
+        ("epochs", "0", "train"),
+        ("batch_size", "0", "train"),
+        ("lr_g", "-1", "train"),
+        ("adam_beta1", "1", "train"),
+        ("adam_beta2", "-0.1", "train"),
+        ("adam_eps", "0", "train"),
+        ("d_steps_per_g_step", "0", "train"),
+        ("fake_source", "noise", "train"),
+        ("n_synthetic", "0", "generate"),
+        ("bins", "0", "evaluate"),
+        ("sigma", "wide", "evaluate"),
+        ("sigma", "-2", "evaluate"),
+        ("mmd_on", "hours", "evaluate"),
+        ("alpha_high", "1.5", "evaluate"),
     ])
     def test_bad_value_is_1_with_one_line_and_no_artifact(self, workspace, capsys, key, value,
                                                          command):
         tmp_path, _ = workspace
         cfg_path = write_config(tmp_path, tmp_path / "house.csv", **{key: value})
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=key):
             load_run_config(cfg_path)
         assert cli.main([command, "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
+        assert key in err, err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("flag,key,value", [
+        ("--model", "model", "nonsense"), ("--seed", "seed", "x"), ("--seed", "seed", "-1"),
+        ("--bins", "bins", "1.5"), ("--bins", "bins", "0"), ("--n", "n_synthetic", "0"),
+    ])
+    def test_flag_and_file_value_share_one_parser(self, workspace, capsys, flag, key, value):
+        tmp_path, cfg_path = workspace
+        assert cli.main(["generate", "--config", str(cfg_path), flag, value]) == 1
+        from_flag = capsys.readouterr().err
+        bad_cfg = write_config(tmp_path, tmp_path / "house.csv", **{key: value})
+        assert cli.main(["generate", "--config", str(bad_cfg)]) == 1
+        assert from_flag == capsys.readouterr().err
+        assert key in from_flag and from_flag.count("\n") == 1, from_flag
+
+    def test_library_configs_own_the_defaults(self):
+        cfg = RunConfig()
+        assert cfg.arch_config() == ArchConfig()
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.metrics_config() == MetricsConfig()
+        assert config_hash(cfg) == "49723f2a69b9"
+
+    @pytest.mark.parametrize("library_cfg", [ArchConfig(), TrainConfig(), MetricsConfig()],
+                             ids=lambda c: type(c).__name__)
+    def test_library_configs_are_frozen(self, library_cfg):
+        for f in fields(library_cfg):
+            with pytest.raises(FrozenInstanceError):
+                setattr(library_cfg, f.name, getattr(library_cfg, f.name))
 
     def test_failed_config_write_keeps_previous_file(self, workspace, monkeypatch):
         _, cfg_path = workspace
@@ -438,6 +491,12 @@ class TestMalformedArtifacts:
         capsys.readouterr()
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         assert "normalized" in capsys.readouterr().err
+        matrix = str(sidecar.with_suffix(""))
+        assert cli.main(["evaluate", "--config", str(cfg_path), matrix, matrix]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert cli.DAYMATRIX_CSV in err and "normalization" in err
+        assert not (run_dir(load_run_config(cfg_path)) / cli.REPORT_JSON).exists()
 
     @pytest.mark.parametrize("damage", [
         "truncated", "not_utf8", "not_object", "unknown_key", "missing_key", "wrong_type",

@@ -494,6 +494,16 @@ class TestAggregateStats:
             assert M.aggregate_stats(days) == want
 
 
+class TestMetricsConfigRules:
+    @pytest.mark.parametrize("key,value", [
+        ("bins", 0), ("sigma", "wide"), ("sigma", 0.0), ("sigma", -2.0), ("mmd_on", "hours"),
+        ("alpha_high", 1.5), ("alpha_low", 0.0), ("alpha_low", 0.95),
+    ])
+    def test_bad_value_raises_at_construction(self, key, value):
+        with pytest.raises(DataError, match=key):
+            M.MetricsConfig(**{key: value})
+
+
 class TestFullReport:
     def test_self_comparison(self, rng):
         real = rng.uniform(0, 900, size=(20, 96))

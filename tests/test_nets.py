@@ -12,7 +12,7 @@ from gridsynth import autodiff as ad
 from gridsynth import nets
 from gridsynth.errors import DataError
 
-from oracles import zero_fill_backward
+from oracles import Sum, zero_fill_backward
 from test_autodiff import _const
 
 TINY = nets.ArchConfig(seq_len=16, latent_dim=4, channels=3, kernel_size=3, dilations=(1, 2))
@@ -49,7 +49,7 @@ def _encode(model, x):
     """The encoder's (mean, logvar) on (B, T) profiles, from one forward."""
     xin = ad.Input("x")
     mean, logvar = model.encoder.build(xin)
-    ad.forward(ad.Add(ad.Sum(mean), ad.Sum(logvar)), {xin: x[:, None, :]})
+    ad.forward(ad.Add(Sum(mean), Sum(logvar)), {xin: x[:, None, :]})
     return mean.value, logvar.value
 
 
@@ -57,6 +57,16 @@ def _discriminate(model, x):
     """D's probability that each (B, T) profile is real."""
     xin = ad.Input("x")
     return ad.sigmoid(ad.forward(model.discriminator.build(xin), {xin: x[:, None, :]})[:, 0])
+
+
+class TestArchConfigRules:
+    @pytest.mark.parametrize("key,value", [
+        ("seq_len", 0), ("latent_dim", -1), ("channels", 2.0), ("kernel_size", True),
+        ("dilations", ()), ("dilations", (1, 0)), ("leaky_slope", 0.0), ("logvar_clip", 0.0),
+    ], ids=str)
+    def test_bad_value_raises_at_construction(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            nets.ArchConfig(**{key: value})
 
 
 class TestEncode:

@@ -25,6 +25,18 @@ def quick_cfg(**kw):
     return trainer.TrainConfig(**base)
 
 
+class TestTrainConfigRules:
+    @pytest.mark.parametrize("key,value", [
+        ("epochs", 0), ("batch_size", 0), ("lr_g", -1e-4), ("lr_g", float("nan")),
+        ("lr_d", float("inf")), ("adam_beta1", 1.0), ("adam_beta2", -0.1), ("adam_eps", 0.0),
+        ("seed", -1), ("d_steps_per_g_step", 0), ("checkpoint_every", -1),
+        ("fake_source", "noise"),
+    ])
+    def test_bad_value_raises_at_construction(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            trainer.TrainConfig(**{key: value})
+
+
 class TestAdamStep:
     def test_zero_grad_leaves_value(self):
         p = ad.Param("p", [1.0, -2.0])
