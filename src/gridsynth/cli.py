@@ -91,15 +91,7 @@ def _run_dir(cfg: cfgmod.RunConfig) -> Path:
 def cmd_ingest(cfg: cfgmod.RunConfig) -> int:
     if not cfg.input_path:
         raise UsageError("ingest requires input_path in the config file")
-    matrix = datapipe.ingest(
-        cfg.input_path,
-        value_column=cfg.value_column,
-        timestamp_column=cfg.timestamp_column,
-        source_period_minutes=cfg.source_period_minutes,
-        tz=cfg.timezone,
-        completeness=cfg.day_completeness,
-        kind=cfg.kind,
-    )
+    matrix = datapipe.ingest(cfg.input_path, cfg.ingest_config())
     rd = _run_dir(cfg)
     datapipe.save_day_matrix(matrix, rd / DAYMATRIX_CSV)
     print(f"kept days: {matrix.n_days}")

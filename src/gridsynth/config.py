@@ -11,9 +11,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DataError, UsageError
-from .datapipe import (
-    check_completeness, check_period, read_kv_file, replaced_on_success, resolve_timezone,
-)
+from .datapipe import IngestConfig, read_kv_file, replaced_on_success
 from .nets import ArchConfig
 from .trainer import TrainConfig
 from .metrics import MetricsConfig
@@ -22,17 +20,17 @@ from .metrics import MetricsConfig
 @dataclass
 class RunConfig:
     """Every knob of the pipeline as the flat file spells it; all fields
-    default except input_path. The model, training and metrics keys take
-    their defaults and rules from ArchConfig, TrainConfig and MetricsConfig."""
+    default except input_path. A key that IngestConfig, ArchConfig,
+    TrainConfig or MetricsConfig shares takes its default and rule from it."""
 
     # data
     input_path: str = ""
-    timestamp_column: str = "timestamp"
-    value_column: str = "power_w"
-    kind: str = "load"  # load | pv
-    timezone: str = "UTC"
-    source_period_minutes: int = 5
-    day_completeness: float = 1.0
+    timestamp_column: str = IngestConfig.timestamp_column
+    value_column: str = IngestConfig.value_column
+    kind: str = IngestConfig.kind
+    timezone: str = IngestConfig.timezone
+    source_period_minutes: int = IngestConfig.source_period_minutes
+    day_completeness: float = IngestConfig.day_completeness
     # model
     model: str = "vaegan"  # vaegan | gan
     latent_dim: int = ArchConfig.latent_dim
@@ -73,6 +71,9 @@ class RunConfig:
         except (ValueError, DataError) as exc:
             raise UsageError(str(exc))
 
+    def ingest_config(self) -> IngestConfig:
+        return self._derive(IngestConfig)
+
     def arch_config(self) -> ArchConfig:
         try:
             dilations = tuple(int(d) for d in self.dilations.split(","))
@@ -93,16 +94,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.model not in ("vaegan", "gan"):
             raise UsageError(f"model must be vaegan|gan, got {self.model!r}")
-        if self.kind not in ("load", "pv"):
-            raise UsageError(f"kind must be load|pv, got {self.kind!r}")
         if self.n_synthetic < 1:
             raise UsageError(f"n_synthetic must be >= 1, got {self.n_synthetic}")
-        try:
-            resolve_timezone(self.timezone)
-            check_completeness(self.day_completeness)
-            check_period(self.source_period_minutes)
-        except DataError as exc:
-            raise UsageError(str(exc))
+        self.ingest_config()
         self.arch_config()
         self.train_config()
         self.metrics_config()
@@ -148,15 +142,12 @@ def config_lines(cfg: RunConfig) -> list[str]:
 
 # fields that do not influence ingested data or trained weights; changing
 # them must not re-key the run directory (reports echo them instead)
-_HASH_EXEMPT = ("out_dir", "n_synthetic", "bins", "sigma", "mmd_on", "alpha_high", "alpha_low")
+_HASH_EXEMPT = ("out_dir", "n_synthetic", *(f.name for f in fields(MetricsConfig)))
 
 
 def config_hash(cfg: RunConfig) -> str:
     """12-hex digest of the data/model/training part of the config."""
-    payload = "\n".join(
-        line for line in config_lines(cfg)
-        if line.split(" = ")[0] not in _HASH_EXEMPT
-    )
+    payload = "\n".join(ln for ln in config_lines(cfg) if ln.split(" = ")[0] not in _HASH_EXEMPT)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
@@ -171,8 +162,7 @@ def write_effective_config(cfg: RunConfig, path) -> None:
 
 def describe_defaults() -> str:
     """One line per config key with its default, for --help epilogs."""
+    defaults = RunConfig()
     lines = ["config keys (key = default):"]
-    for f in fields(RunConfig):
-        default = getattr(RunConfig(), f.name)
-        lines.append(f"  {f.name} = {default!r}")
+    lines += [f"  {f.name} = {getattr(defaults, f.name)!r}" for f in fields(RunConfig)]
     return "\n".join(lines)

@@ -12,7 +12,7 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone, tzinfo
 from pathlib import Path
 
@@ -101,6 +101,33 @@ class DayMatrix:
         return {"norm_min": self.norm_min, "norm_max": self.norm_max, "kind": self.kind}
 
 
+def is_count(v) -> bool:
+    """The integer rule every config shares: an int, not a bool, >= 0."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+@dataclass(frozen=True)
+class IngestConfig:
+    """How a raw CSV becomes a day matrix; each value is checked when built."""
+
+    timestamp_column: str = "timestamp"
+    value_column: str = "power_w"
+    kind: str = "load"  # load | pv
+    timezone: str = "UTC"  # see resolve_timezone
+    source_period_minutes: int = 5
+    day_completeness: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("load", "pv"):
+            raise DataError(f"kind must be load|pv, got {self.kind!r}")
+        resolve_timezone(self.timezone)
+        check_completeness(self.day_completeness)
+        period = self.source_period_minutes
+        check_period(period)
+        if not is_count(period):
+            raise DataError(f"source_period_minutes must be an integer, got {period!r}")
+
+
 def _parse_timestamp(text: str, line_no: int) -> int:
     raw = text.strip()
     if raw.endswith(("Z", "z")):
@@ -117,8 +144,8 @@ def _parse_timestamp(text: str, line_no: int) -> int:
 def load_csv(
     path,
     value_column: str,
-    timestamp_column: str = "timestamp",
-    period_minutes: int = 5,
+    timestamp_column: str = IngestConfig.timestamp_column,
+    period_minutes: int = IngestConfig.source_period_minutes,
 ) -> TimeSeries:
     """Parse a RAPT-style CSV into a TimeSeries sorted by timestamp.
 
@@ -228,9 +255,9 @@ def resolve_timezone(tz: str) -> tzinfo:
 
 def clean_days(
     series: TimeSeries,
-    tz: str = "UTC",
-    completeness: float = 1.0,
-    kind: str = "load",
+    tz: str = IngestConfig.timezone,
+    completeness: float = IngestConfig.day_completeness,
+    kind: str = IngestConfig.kind,
 ) -> DayMatrix:
     """Keep local calendar days whose 96 slots are all present and gap-free.
 
@@ -425,11 +452,13 @@ def replaced_on_success(path):
 @contextmanager
 def _utf8_text(path):
     """Open path as UTF-8 text for reading (csv-module newline handling); a
-    decoding failure or a CSV syntax error anywhere inside the block becomes
-    a DataError."""
+    path that cannot be read (a directory, no permission), a decoding failure
+    or a CSV syntax error anywhere inside the block becomes a DataError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             yield fh
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror or exc})")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})")
     except csv.Error as exc:  # e.g. a stray quote opens a field past the size limit
@@ -455,22 +484,9 @@ def read_kv_file(path) -> dict[str, str]:
     return out
 
 
-def ingest(
-    path,
-    value_column: str,
-    timestamp_column: str = "timestamp",
-    source_period_minutes: int = 5,
-    tz: str = "UTC",
-    completeness: float = 1.0,
-    kind: str = "load",
-) -> DayMatrix:
+def ingest(path, cfg: IngestConfig) -> DayMatrix:
     """Full raw-CSV -> normalized DayMatrix pipeline."""
-    series = load_csv(
-        path,
-        value_column=value_column,
-        timestamp_column=timestamp_column,
-        period_minutes=source_period_minutes,
-    )
+    series = load_csv(path, cfg.value_column, cfg.timestamp_column, cfg.source_period_minutes)
     series = resample(series)
-    days = clean_days(series, tz=tz, completeness=completeness, kind=kind)
+    days = clean_days(series, tz=cfg.timezone, completeness=cfg.day_completeness, kind=cfg.kind)
     return normalize(days)

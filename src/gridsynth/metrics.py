@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datapipe import replaced_on_success
+from .datapipe import is_count, replaced_on_success
 from .errors import DataError
 
 DEFAULT_BINS = 100
@@ -346,8 +346,8 @@ class MetricsConfig:
     alpha_low: float = 0.1
 
     def __post_init__(self):
-        if self.bins < 1:
-            raise DataError(f"bins must be >= 1, got {self.bins}")
+        if not (is_count(self.bins) and self.bins >= 1):
+            raise DataError(f"bins must be an integer >= 1, got {self.bins!r}")
         if isinstance(self.sigma, str):
             if self.sigma != "median":
                 raise DataError(f"sigma must be 'median' or a finite positive number, "

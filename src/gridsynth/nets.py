@@ -22,12 +22,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import autodiff as ad
-from .datapipe import replaced_on_success
+from .datapipe import is_count, replaced_on_success
 from .errors import DataError
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def _is_number(v) -> bool:
@@ -49,9 +45,9 @@ class ArchConfig:
     def __post_init__(self):
         for key in ("seq_len", "latent_dim", "channels", "kernel_size"):
             value = getattr(self, key)
-            if not (_is_count(value) and value > 0):
+            if not (is_count(value) and value > 0):
                 raise ValueError(f"{key} must be a positive integer, got {value!r}")
-        if not (self.dilations and all(_is_count(d) and d > 0 for d in self.dilations)):
+        if not (self.dilations and all(is_count(d) and d > 0 for d in self.dilations)):
             raise ValueError(f"dilations must be one or more positive integers, got {self.dilations!r}")
         if not (_is_number(self.leaky_slope) and 0.0 < self.leaky_slope <= 1.0):
             raise ValueError(f"leaky_slope must be in (0, 1], got {self.leaky_slope!r}")
@@ -416,11 +412,11 @@ def _norm_meta_ok(v) -> bool:
 
 #: meta key -> (test of its JSON value, what the value must be)
 _META_TYPES = {
-    "seed": (_is_count, "a non-negative integer"),
-    "epoch": (_is_count, "a non-negative integer"),
-    "step": (_is_count, "a non-negative integer"),
+    "seed": (is_count, "a non-negative integer"),
+    "epoch": (is_count, "a non-negative integer"),
+    "step": (is_count, "a non-negative integer"),
     "adam_steps": (
-        lambda v: isinstance(v, dict) and all(map(_is_count, v.values())),
+        lambda v: isinstance(v, dict) and all(map(is_count, v.values())),
         "an object of non-negative integers",
     ),
     "rng_state": (_optional_dict, "null or an object"),

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nets
-from .datapipe import DayMatrix, replaced_on_success
+from .datapipe import DayMatrix, is_count, replaced_on_success
 from .errors import DataError, TrainingDiverged
 
 @dataclass(frozen=True)
@@ -44,17 +44,17 @@ class TrainConfig:
     fake_source: str = "reconstruction"  # what D treats as fake: reconstruction | prior
 
     def __post_init__(self):
+        for key, low in (("epochs", 1), ("batch_size", 1), ("seed", 0),
+                         ("d_steps_per_g_step", 1), ("checkpoint_every", 0)):
+            value = getattr(self, key)
+            if not (is_count(value) and value >= low):
+                raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
         for key, ok, rule in (
-            ("epochs", self.epochs >= 1, ">= 1"),
-            ("batch_size", self.batch_size >= 1, ">= 1"),
             ("lr_g", 0 <= self.lr_g < math.inf, "finite and >= 0"),
             ("lr_d", 0 <= self.lr_d < math.inf, "finite and >= 0"),
             ("adam_beta1", 0 <= self.adam_beta1 < 1, "in [0, 1)"),
             ("adam_beta2", 0 <= self.adam_beta2 < 1, "in [0, 1)"),
-            ("adam_eps", self.adam_eps > 0, "> 0"),
-            ("seed", self.seed >= 0, ">= 0"),
-            ("d_steps_per_g_step", self.d_steps_per_g_step >= 1, ">= 1"),
-            ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"),
+            ("adam_eps", 0 < self.adam_eps < math.inf, "finite and > 0"),
             ("fake_source", self.fake_source in ("reconstruction", "prior"), "reconstruction|prior"),
         ):
             if not ok:

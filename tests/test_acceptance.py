@@ -235,7 +235,7 @@ def test_criterion_8_data_pipeline(tmp_path, rng):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
     expected_days = sum(1 for gaps in gap_manifest.values() if not gaps)
-    matrix = datapipe.ingest(path, value_column="power_w")
+    matrix = datapipe.ingest(path, datapipe.IngestConfig())
     assert matrix.n_days == expected_days
 
     raw = datapipe.DayMatrix(rng.uniform(0, 1400, size=(6, 96)))

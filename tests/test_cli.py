@@ -4,7 +4,7 @@ import datetime as dtmod
 import io
 import json
 import re
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ from gridsynth import cli, synth
 from gridsynth.config import (
     RunConfig, config_hash, load_run_config, run_dir, write_effective_config,
 )
-from gridsynth.datapipe import load_day_matrix, read_kv_file
+from gridsynth.datapipe import IngestConfig, load_day_matrix, read_kv_file
 from gridsynth.errors import DataError, UsageError
 from gridsynth.metrics import MetricsConfig
 from gridsynth.nets import ArchConfig
@@ -25,10 +25,18 @@ from test_datapipe import corrupt_matrix_csv, insert_non_utf8
 from test_nets import rewrite_checkpoint
 
 # RunConfig keys read by the pipeline itself rather than mirrored into
-# TrainConfig / ArchConfig / MetricsConfig
-PIPELINE_KEYS = {
-    "input_path", "timestamp_column", "value_column", "kind", "timezone",
-    "source_period_minutes", "day_completeness", "model", "n_synthetic", "out_dir",
+# IngestConfig / ArchConfig / TrainConfig / MetricsConfig
+PIPELINE_KEYS = {"input_path", "model", "n_synthetic", "out_dir"}
+
+# a valid non-default file value for every mirrored key
+MIRRORED_VALUES = {
+    "timestamp_column": "ts", "value_column": "watts", "kind": "pv", "timezone": "Europe/Berlin",
+    "source_period_minutes": 3, "day_completeness": 0.9,
+    "latent_dim": 5, "channels": 7, "kernel_size": 2, "dilations": "1,3",
+    "leaky_slope": 0.1, "epochs": 3, "batch_size": 5, "lr_g": 1e-3, "lr_d": 3e-3,
+    "adam_beta1": 0.4, "adam_beta2": 0.99, "adam_eps": 1e-7, "seed": 11,
+    "d_steps_per_g_step": 2, "checkpoint_every": 4, "fake_source": "prior",
+    "bins": 17, "sigma": "2.5", "mmd_on": "pooled", "alpha_high": 0.8, "alpha_low": 0.2,
 }
 
 
@@ -97,26 +105,28 @@ class TestConfig:
         assert cli.main(["ingest", "--config", str(cfg_path)]) == 1
         assert "household" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
+    def test_hash_changes_exactly_with_a_non_exempt_key(self, key):
+        other = {**MIRRORED_VALUES, "input_path": "other.csv", "model": "gan",
+                 "n_synthetic": 7, "out_dir": "elsewhere"}[key]
+        exempt = {"out_dir", "n_synthetic"} | {f.name for f in fields(MetricsConfig)}
+        same = config_hash(replace(RunConfig(), **{key: other})) == config_hash(RunConfig())
+        assert same == (key in exempt)
+
     def test_derived_configs_carry_every_mirrored_key(self, tmp_path):
-        values = {
-            "latent_dim": 5, "channels": 7, "kernel_size": 2, "dilations": "1,3",
-            "leaky_slope": 0.1, "epochs": 3, "batch_size": 5, "lr_g": 1e-3, "lr_d": 3e-3,
-            "adam_beta1": 0.4, "adam_beta2": 0.99, "adam_eps": 1e-7, "seed": 11,
-            "d_steps_per_g_step": 2, "checkpoint_every": 4, "fake_source": "prior",
-            "bins": 17, "sigma": "2.5", "mmd_on": "pooled", "alpha_high": 0.8, "alpha_low": 0.2,
-        }
         defaults = RunConfig()
-        for key, val in values.items():
+        for key, val in MIRRORED_VALUES.items():
             assert getattr(defaults, key) != val, key
         path = tmp_path / "all.cfg"
-        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+        path.write_text("".join(f"{k} = {v}\n" for k, v in MIRRORED_VALUES.items()), encoding="utf-8")
         cfg = load_run_config(path)
         mirrored = {}
-        for derived in (cfg.arch_config(), cfg.train_config(), cfg.metrics_config()):
+        for derived in (cfg.ingest_config(), cfg.arch_config(), cfg.train_config(),
+                        cfg.metrics_config()):
             for f in fields(derived):
                 if f.name in RunConfig.__dataclass_fields__:
                     mirrored[f.name] = getattr(derived, f.name)
-        assert mirrored == {**values, "dilations": (1, 3), "sigma": 2.5}
+        assert mirrored == {**MIRRORED_VALUES, "dilations": (1, 3), "sigma": 2.5}
         assert not set(mirrored) & PIPELINE_KEYS
         assert set(RunConfig.__dataclass_fields__) == set(mirrored) | PIPELINE_KEYS
 
@@ -186,6 +196,7 @@ class TestConfig:
         ("adam_beta1", "1", "train"),
         ("adam_beta2", "-0.1", "train"),
         ("adam_eps", "0", "train"),
+        ("adam_eps", "inf", "train"),
         ("d_steps_per_g_step", "0", "train"),
         ("fake_source", "noise", "train"),
         ("n_synthetic", "0", "generate"),
@@ -222,13 +233,16 @@ class TestConfig:
 
     def test_library_configs_own_the_defaults(self):
         cfg = RunConfig()
+        assert cfg.ingest_config() == IngestConfig()
         assert cfg.arch_config() == ArchConfig()
         assert cfg.train_config() == TrainConfig()
         assert cfg.metrics_config() == MetricsConfig()
         assert config_hash(cfg) == "49723f2a69b9"
 
-    @pytest.mark.parametrize("library_cfg", [ArchConfig(), TrainConfig(), MetricsConfig()],
-                             ids=lambda c: type(c).__name__)
+    @pytest.mark.parametrize(
+        "library_cfg", [IngestConfig(), ArchConfig(), TrainConfig(), MetricsConfig()],
+        ids=lambda c: type(c).__name__,
+    )
     def test_library_configs_are_frozen(self, library_cfg):
         for f in fields(library_cfg):
             with pytest.raises(FrozenInstanceError):
@@ -273,6 +287,21 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path, tmp_path / "absent.csv")
         assert cli.main(["ingest", "--config", str(cfg_path)]) == 2
         assert "absent.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["input_path", "evaluate_inputs", "config_file"])
+    def test_directory_path_is_2_with_one_line(self, tmp_path, capsys, entry):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        cfg_path = write_config(tmp_path, folder if entry == "input_path" else tmp_path / "a.csv")
+        argv = {
+            "input_path": ["ingest", "--config", str(cfg_path)],
+            "evaluate_inputs": ["evaluate", "--config", str(cfg_path), str(folder), str(folder)],
+            "config_file": ["ingest", "--config", str(folder)],
+        }[entry]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert str(folder) in err and "Traceback" not in err
 
     def test_no_command_is_1(self, capsys):
         assert cli.main([]) == 1

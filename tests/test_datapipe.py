@@ -260,6 +260,28 @@ def needs_zone(name):
     )
 
 
+class TestIngestConfigRules:
+    @pytest.mark.parametrize("key,value,message", [
+        ("kind", "wind", "kind must be load|pv"),
+        ("timezone", "Not/AZone", "unknown timezone"),
+        ("timezone", "+99:99", "timezone offset"),
+        ("source_period_minutes", 0, "source_period_minutes must be positive"),
+        ("source_period_minutes", 7, "source_period_minutes must divide 15"),
+        ("source_period_minutes", 2.5, "source_period_minutes must be an integer"),
+        ("source_period_minutes", True, "source_period_minutes must be an integer"),
+        ("day_completeness", 0.0, "day_completeness must be in"),
+        ("day_completeness", float("nan"), "day_completeness must be in"),
+    ])
+    def test_bad_value_raises_at_construction(self, key, value, message):
+        with pytest.raises(DataError, match=f"^{message}"):
+            dp.IngestConfig(**{key: value})
+
+    def test_stage_defaults_are_the_config_defaults(self):
+        cfg = dp.IngestConfig()
+        assert dp.load_csv.__defaults__ == (cfg.timestamp_column, cfg.source_period_minutes)
+        assert dp.clean_days.__defaults__ == (cfg.timezone, cfg.day_completeness, cfg.kind)
+
+
 class TestTimezones:
     @pytest.mark.parametrize("tz,seconds", [
         ("UTC", 0), ("utc", 0), ("Z", 0), ("", 0), ("+01:00", 3600), ("+1:00", 3600),
@@ -550,12 +572,12 @@ class TestIngestFixture:
     def test_gap_manifest_day_count(self, tmp_path):
         manifest = {1: [10, 11], 3: [200]}
         path, expected = self.build_fixture(tmp_path, manifest)
-        matrix = dp.ingest(path, value_column="power_w")
+        matrix = dp.ingest(path, dp.IngestConfig())
         assert matrix.n_days == expected == 2
 
     def test_no_gaps_keeps_all(self, tmp_path):
         path, expected = self.build_fixture(tmp_path, {})
-        matrix = dp.ingest(path, value_column="power_w")
+        matrix = dp.ingest(path, dp.IngestConfig())
         assert matrix.n_days == expected == 4
         assert matrix.normalized
         assert matrix.values.min() >= 0.0 and matrix.values.max() <= 1.0

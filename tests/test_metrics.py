@@ -496,7 +496,7 @@ class TestAggregateStats:
 
 class TestMetricsConfigRules:
     @pytest.mark.parametrize("key,value", [
-        ("bins", 0), ("sigma", "wide"), ("sigma", 0.0), ("sigma", -2.0), ("mmd_on", "hours"),
+        ("bins", 0), ("bins", 2.5), ("bins", True), ("sigma", "wide"), ("sigma", 0.0), ("sigma", -2.0), ("mmd_on", "hours"),
         ("alpha_high", 1.5), ("alpha_low", 0.0), ("alpha_low", 0.95),
     ])
     def test_bad_value_raises_at_construction(self, key, value):

@@ -30,7 +30,9 @@ class TestTrainConfigRules:
         ("epochs", 0), ("batch_size", 0), ("lr_g", -1e-4), ("lr_g", float("nan")),
         ("lr_d", float("inf")), ("adam_beta1", 1.0), ("adam_beta2", -0.1), ("adam_eps", 0.0),
         ("seed", -1), ("d_steps_per_g_step", 0), ("checkpoint_every", -1),
-        ("fake_source", "noise"),
+        ("fake_source", "noise"), ("adam_eps", float("inf")),
+        ("epochs", True), ("batch_size", 2.5), ("seed", 1.5), ("d_steps_per_g_step", 2.0),
+        ("checkpoint_every", 1.5),
     ])
     def test_bad_value_raises_at_construction(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be"):
